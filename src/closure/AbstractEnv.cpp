@@ -4,6 +4,7 @@
 
 using namespace afl;
 using namespace afl::closure;
+using regions::RegionSet;
 using regions::RegionVarId;
 
 namespace {
@@ -65,9 +66,8 @@ bool RegEnvTable::maps(RegEnvId Id, RegionVarId Var) const {
   return It != E.end() && It->first == Var;
 }
 
-FlatSet<Color>
-RegEnvTable::colorsOf(RegEnvId Id,
-                      const std::set<RegionVarId> &Vars) const {
+FlatSet<Color> RegEnvTable::colorsOf(RegEnvId Id,
+                                     const RegionSet &Vars) const {
   FlatSet<Color> Out;
   Out.reserve(Vars.size());
   for (RegionVarId V : Vars)
@@ -75,13 +75,19 @@ RegEnvTable::colorsOf(RegEnvId Id,
   return Out;
 }
 
-RegEnvId RegEnvTable::restrict(RegEnvId Id,
-                               const std::set<RegionVarId> &Keep) {
+RegEnvId RegEnvTable::restrict(RegEnvId Id, const RegionSet &Keep) {
+  // Both sides are sorted by variable: one merge walk.
   RegEnvMap Out;
   Out.reserve(Keep.size());
-  for (const auto &[Var, C] : Envs[Id])
-    if (Keep.count(Var))
+  auto K = Keep.begin(), KEnd = Keep.end();
+  for (const auto &[Var, C] : Envs[Id]) {
+    while (K != KEnd && *K < Var)
+      ++K;
+    if (K == KEnd)
+      break;
+    if (*K == Var)
       Out.push_back({Var, C});
+  }
   assert(Out.size() == Keep.size() &&
          "restriction set contains unmapped region variables");
   return intern(std::move(Out));
@@ -126,7 +132,7 @@ struct ColorClass {
 };
 
 std::vector<ColorClass> classifyEnv(const RegEnvMap &Map,
-                                    const std::set<RegionVarId> &Visible) {
+                                    const RegionSet &Visible) {
   std::vector<ColorClass> Classes;
   for (const auto &[Var, C] : Map) {
     ColorClass *Cls = nullptr;
@@ -177,8 +183,7 @@ invisibleRecoloring(const std::vector<ColorClass> &Classes, unsigned Bound) {
 
 } // namespace
 
-bool closure::widenRegEnvMap(RegEnvMap &Map,
-                             const std::set<RegionVarId> &Visible,
+bool closure::widenRegEnvMap(RegEnvMap &Map, const RegionSet &Visible,
                              unsigned Bound) {
   if (Bound == 0 || Map.empty())
     return false;
@@ -196,8 +201,7 @@ bool closure::widenRegEnvMap(RegEnvMap &Map,
 }
 
 std::vector<RegionVarId>
-closure::widenedRegEnvVars(const RegEnvMap &Map,
-                           const std::set<RegionVarId> &Visible,
+closure::widenedRegEnvVars(const RegEnvMap &Map, const RegionSet &Visible,
                            unsigned Bound) {
   if (Bound == 0 || Map.empty())
     return {};

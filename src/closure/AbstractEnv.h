@@ -17,7 +17,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -62,11 +61,10 @@ public:
 
   /// Maps a set of region variables to the corresponding set of colors
   /// (ascending color order).
-  FlatSet<Color> colorsOf(RegEnvId Id,
-                          const std::set<regions::RegionVarId> &Vars) const;
+  FlatSet<Color> colorsOf(RegEnvId Id, const regions::RegionSet &Vars) const;
 
   /// Restricts \p Id to the variables in \p Keep (all must be mapped).
-  RegEnvId restrict(RegEnvId Id, const std::set<regions::RegionVarId> &Keep);
+  RegEnvId restrict(RegEnvId Id, const regions::RegionSet &Keep);
 
   /// Extends \p Id with \p Var bound to the minimal color not in the
   /// range of \p Id (the letregion rule of Fig. 3).
@@ -98,8 +96,7 @@ private:
 /// partition and every visible color, and it is idempotent, so applying
 /// it at closure-creation time in any fixpoint mode yields the same
 /// interned environment. \p Bound = 0 means the widening is off.
-bool widenRegEnvMap(RegEnvMap &Map,
-                    const std::set<regions::RegionVarId> &Visible,
+bool widenRegEnvMap(RegEnvMap &Map, const regions::RegionSet &Visible,
                     unsigned Bound);
 
 /// The region variables widenRegEnvMap(\p Map, \p Visible, \p Bound)
@@ -108,8 +105,7 @@ bool widenRegEnvMap(RegEnvMap &Map,
 /// recompute "is this closure widened" from content instead of keeping
 /// per-closure flags alive across canonicalization.
 std::vector<regions::RegionVarId>
-widenedRegEnvVars(const RegEnvMap &Map,
-                  const std::set<regions::RegionVarId> &Visible,
+widenedRegEnvVars(const RegEnvMap &Map, const regions::RegionSet &Visible,
                   unsigned Bound);
 
 } // namespace closure

@@ -163,15 +163,13 @@ VarId ClosureAnalysis::paramOf(const AbsClosure &C) const {
   return cast<RLetrecExpr>(C.Fun)->param();
 }
 
-std::set<RegionVarId> ClosureAnalysis::latentOf(const AbsClosure &C) const {
+RegionSet ClosureAnalysis::latentOf(const AbsClosure &C) const {
   RTypeId Arrow;
   if (isa<RLambdaExpr>(C.Fun))
     Arrow = C.Fun->type();
   else
     Arrow = Prog.varInfo(cast<RLetrecExpr>(C.Fun)->fn()).Type;
-  EffectSet Probe;
-  Probe.EffectVars.insert(Prog.Types.arrowEffect(Arrow));
-  return Prog.Types.regionsOf(Probe);
+  return Prog.Types.latentRegions(Prog.Types.arrowEffect(Arrow));
 }
 
 RegEnvId ClosureAnalysis::widenClosureEnv(const RExpr *Fun, RegEnvId Env) {

@@ -253,7 +253,7 @@ public:
 
   /// Latent-effect region variables of the closure's arrow type (in the
   /// closure's own frame: formal names for letrec closures).
-  std::set<regions::RegionVarId> latentOf(const AbsClosure &C) const;
+  regions::RegionSet latentOf(const AbsClosure &C) const;
 
   /// True iff the widening recolored \p C's environment. Recomputed from
   /// (function, environment, bound) — widened-ness is content, not
@@ -335,7 +335,7 @@ private:
   /// sets elsewhere), precomputed in the constructor when Widening > 0:
   /// the widening consults them on every closure creation, including
   /// from parallel workers, which must not touch the type tables.
-  std::vector<std::set<regions::RegionVarId>> VisibleRegions;
+  std::vector<regions::RegionSet> VisibleRegions;
 
   std::vector<AbsClosure> Closures;
   /// (function node id << 32 | env id) → closure id. Exact packed key.

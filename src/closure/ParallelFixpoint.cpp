@@ -176,11 +176,11 @@ private:
       return It->second;
     }
 
-    uint32_t restrictEnv(uint32_t E, const std::set<RegionVarId> &Keep) {
+    uint32_t restrictEnv(uint32_t E, const RegionSet &Keep) {
       RegEnvMap Out;
       Out.reserve(Keep.size());
       for (const auto &[Var, C] : envContent(E))
-        if (Keep.count(Var))
+        if (Keep.contains(Var))
           Out.push_back({Var, C});
       assert(Out.size() == Keep.size() &&
              "restriction set contains unmapped region variables");

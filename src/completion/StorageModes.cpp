@@ -1,6 +1,6 @@
 #include "completion/StorageModes.h"
 
-#include <set>
+#include "support/FlatSet.h"
 
 using namespace afl;
 using namespace afl::completion;
@@ -18,8 +18,8 @@ public:
   }
 
 private:
-  using VarSet = std::set<VarId>;
-  using RegSet = std::set<RegionVarId>;
+  using VarSet = FlatSet<VarId>;
+  using RegSet = RegionSet;
 
   /// Collects the regions letregion-bound within the domain rooted at
   /// \p Body (not descending into inner domains).
@@ -65,7 +65,7 @@ private:
 
   /// Local regions of μ \p T.
   RegSet typeRegions(RTypeId T) const {
-    std::set<RegionVarId> All;
+    RegionSet All;
     Prog.Types.freeRegionVars(T, All);
     RegSet Out;
     for (RegionVarId R : All)
@@ -77,10 +77,8 @@ private:
   /// Local regions reachable from the types of \p Vars.
   RegSet varRegions(const VarSet &Vars) const {
     RegSet Out;
-    for (VarId V : Vars) {
-      RegSet T = typeRegions(Prog.varInfo(V).Type);
-      Out.insert(T.begin(), T.end());
-    }
+    for (VarId V : Vars)
+      Out.unionWith(typeRegions(Prog.varInfo(V).Type));
     return Out;
   }
 
@@ -112,15 +110,13 @@ private:
     case RExpr::Kind::Pair: {
       const auto *P = cast<RPairExpr>(N);
       RegSet Refs = typeRegions(P->first()->type());
-      RegSet Second = typeRegions(P->second()->type());
-      Refs.insert(Second.begin(), Second.end());
+      Refs.unionWith(typeRegions(P->second()->type()));
       return Refs;
     }
     case RExpr::Kind::Cons: {
       const auto *C = cast<RConsExpr>(N);
       RegSet Refs = typeRegions(C->head()->type());
-      RegSet Tail = typeRegions(C->tail()->type());
-      Refs.insert(Tail.begin(), Tail.end());
+      Refs.unionWith(typeRegions(C->tail()->type()));
       return Refs;
     }
     case RExpr::Kind::Lambda:
@@ -172,8 +168,7 @@ private:
       // everything the callee may later read is reachable through the
       // function type's latent effect (part of frv of the arrow type).
       RegSet DuringArg = Pending;
-      RegSet FnRefs = typeRegions(A->fn()->type());
-      DuringArg.insert(FnRefs.begin(), FnRefs.end());
+      DuringArg.unionWith(typeRegions(A->fn()->type()));
       VarSet LiveArg = walk(A->arg(), LiveAfter, DuringArg);
       return walk(A->fn(), std::move(LiveArg), Pending);
     }
@@ -195,15 +190,14 @@ private:
       const auto *I = cast<RIfExpr>(N);
       VarSet LiveThen = walk(I->thenExpr(), LiveAfter, Pending);
       VarSet LiveElse = walk(I->elseExpr(), LiveAfter, Pending);
-      LiveThen.insert(LiveElse.begin(), LiveElse.end());
+      LiveThen.unionWith(LiveElse);
       return walk(I->cond(), std::move(LiveThen), Pending);
     }
     case RExpr::Kind::Pair: {
       const auto *P = cast<RPairExpr>(N);
       decide(N, LiveAfter, Pending, valueRefs(N));
       RegSet DuringSecond = Pending;
-      RegSet FirstRefs = typeRegions(P->first()->type());
-      DuringSecond.insert(FirstRefs.begin(), FirstRefs.end());
+      DuringSecond.unionWith(typeRegions(P->first()->type()));
       VarSet LiveSecond = walk(P->second(), std::move(LiveAfter),
                                DuringSecond);
       return walk(P->first(), std::move(LiveSecond), Pending);
@@ -212,8 +206,7 @@ private:
       const auto *C = cast<RConsExpr>(N);
       decide(N, LiveAfter, Pending, valueRefs(N));
       RegSet DuringTail = Pending;
-      RegSet HeadRefs = typeRegions(C->head()->type());
-      DuringTail.insert(HeadRefs.begin(), HeadRefs.end());
+      DuringTail.unionWith(typeRegions(C->head()->type()));
       VarSet LiveTail = walk(C->tail(), std::move(LiveAfter), DuringTail);
       return walk(C->head(), std::move(LiveTail), Pending);
     }
@@ -231,8 +224,7 @@ private:
       // so they need not block an atbot on the result region.
       decide(N, LiveAfter, Pending, RegSet());
       RegSet DuringRhs = Pending;
-      RegSet LhsRefs = typeRegions(B->lhs()->type());
-      DuringRhs.insert(LhsRefs.begin(), LhsRefs.end());
+      DuringRhs.unionWith(typeRegions(B->lhs()->type()));
       VarSet LiveRhs = walk(B->rhs(), std::move(LiveAfter), DuringRhs);
       return walk(B->lhs(), std::move(LiveRhs), Pending);
     }

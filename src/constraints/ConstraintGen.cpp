@@ -337,7 +337,7 @@ private:
 
     // Caller-side effect colors of the call (set B in Fig. 4). The latent
     // region set depends only on the fn node's arrow type — cache per node.
-    const std::set<RegionVarId> &CallerLatent = callerLatentOf(N->fn());
+    const RegionSet &CallerLatent = callerLatentOf(N->fn());
     FlatSet<Color> CallerB;
     for (RegionVarId R : CallerLatent)
       if (CA.envs().maps(Env, R))
@@ -353,7 +353,7 @@ private:
     for (AbsClosureId Id : Closures) {
       const AbsClosure &Cl = CA.closure(Id);
       const CalleeInfo &Callee = calleeInfoOf(Id);
-      const std::set<regions::RegionVarId> &CalleeLatent = Callee.Latent;
+      const RegionSet &CalleeLatent = Callee.Latent;
       const FlatSet<Color> &CalleeB = Callee.B;
       const CtxEntry &Body = genCtx(CA.bodyOf(Cl), Cl.Env);
 
@@ -457,7 +457,7 @@ private:
   /// (set B on the callee side). Both are functions of the closure id
   /// alone; applications with many call edges reuse them.
   struct CalleeInfo {
-    std::set<regions::RegionVarId> Latent;
+    RegionSet Latent;
     FlatSet<Color> B;
     /// Region formals of a letrec closure (excluded from the alignment
     /// check); empty for lambdas.
@@ -486,13 +486,10 @@ private:
   }
 
   /// Caller-side latent region variables, keyed by the fn node.
-  const std::set<RegionVarId> &callerLatentOf(const RExpr *Fn) {
+  const RegionSet &callerLatentOf(const RExpr *Fn) {
     auto [It, Inserted] = CallerLatentCache.try_emplace(Fn->id());
-    if (Inserted) {
-      EffectSet Probe;
-      Probe.EffectVars.insert(Prog.Types.arrowEffect(Fn->type()));
-      It->second = Prog.Types.regionsOf(Probe);
-    }
+    if (Inserted)
+      It->second = Prog.Types.latentRegions(Prog.Types.arrowEffect(Fn->type()));
     return It->second;
   }
 
@@ -503,7 +500,7 @@ private:
   StateVecInterner IV;
   std::vector<CtxEntry> CtxCache;
   std::vector<CalleeInfo> CalleeCache;
-  std::unordered_map<RNodeId, std::set<RegionVarId>> CallerLatentCache;
+  std::unordered_map<RNodeId, RegionSet> CallerLatentCache;
   /// Per choice-point kind and node: (region, boolean variable) pairs.
   std::vector<std::vector<std::pair<RegionVarId, BoolVarId>>> BoolIndex[5];
 };

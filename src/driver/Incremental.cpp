@@ -1,7 +1,6 @@
 #include "driver/Incremental.h"
 
 #include <algorithm>
-#include <set>
 #include <unordered_set>
 #include <vector>
 
@@ -129,6 +128,16 @@ bool arrowFreeSubtree(const RTypeTable &Types, const RExpr *Root) {
   return true;
 }
 
+/// True iff \p Child is the body of the lambda \p Parent or the function
+/// body of the letrec \p Parent.
+bool isFunctionBody(const RExpr *Parent, const RExpr *Child) {
+  if (const auto *L = regions::dyn_cast<regions::RLambdaExpr>(Parent))
+    return L->body() == Child;
+  if (const auto *L = regions::dyn_cast<regions::RLetrecExpr>(Parent))
+    return L->fnBody() == Child;
+  return false;
+}
+
 /// Lockstep walker over the two trees. Builds the old→new id maps, records
 /// structural breaks, and accumulates the raw-equality / literal-difference
 /// evidence used to classify the edit.
@@ -180,8 +189,8 @@ private:
   }
 
   /// Maps \p OldSet through RegionMap and compares against \p NewSet.
-  bool regionSetMatches(const std::set<RegionVarId> &OldSet,
-                        const std::set<RegionVarId> &NewSet) {
+  bool regionSetMatches(const regions::RegionSet &OldSet,
+                        const regions::RegionSet &NewSet) {
     if (OldSet.size() != NewSet.size())
       return false;
     std::vector<RegionVarId> Mapped;
@@ -390,8 +399,13 @@ ProgramDiff Differ::run() {
     return D;
   }
 
-  // Exactly one break: Subtree candidate.
-  if (!BreakParentNew || !ArrowKindOk)
+  // Exactly one break: Subtree candidate. A break that is a function body
+  // stays full: the seeded restart re-enqueues the parent's contexts, but
+  // a lambda or letrec node never evaluates its body — body contexts are
+  // registered by the call sites that apply the closure — so the new body
+  // would be left without any context.
+  if (!BreakParentNew || !ArrowKindOk ||
+      isFunctionBody(BreakParentNew, Breaks[0].second))
     return D;
   if (!arrowFreeSubtree(Old.Types, Breaks[0].first) ||
       !arrowFreeSubtree(New.Types, Breaks[0].second))

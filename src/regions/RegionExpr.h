@@ -26,7 +26,6 @@
 #include "support/StringInterner.h"
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 namespace afl {
@@ -38,6 +37,9 @@ using VarId = uint32_t;
 
 /// Dense id of an IR node within its RegionProgram.
 using RNodeId = uint32_t;
+
+/// The overall effect of a node finalization never reached.
+inline const RegionSet EmptyRegionSet{};
 
 /// Base class of region-explicit IR nodes.
 class RExpr {
@@ -79,13 +81,14 @@ public:
 
   /// The node's effect (paper §2): every region it may read or write while
   /// evaluating, fully resolved to canonical region variables.
-  const std::set<RegionVarId> &effect() const { return Effect; }
+  const RegionSet &effect() const { return Effect; }
 
   /// The overall effect at this node (§4.2): the arrow effect of the
   /// enclosing abstraction plus letregion-bound variables in scope inside
   /// that abstraction. Only these regions may change state on entry/exit
-  /// of this node.
-  const std::set<RegionVarId> &overallEffect() const { return OverallEffect; }
+  /// of this node. A node that binds no region shares its parent's set;
+  /// the RegionProgram owns the sets.
+  const RegionSet &overallEffect() const { return *OverallEffect; }
 
   /// Region variables letregion-bound *around* this node ("letregion ρ⃗ in
   /// e end" is represented as an annotation so node identity is stable
@@ -97,8 +100,8 @@ public:
   void setType(RTypeId T) { Type = T; }
   void setWriteRegion(RegionVarId R) { WriteRegion = R; }
   void addReadRegion(RegionVarId R) { ReadRegions.push_back(R); }
-  std::set<RegionVarId> &effectMut() { return Effect; }
-  std::set<RegionVarId> &overallEffectMut() { return OverallEffect; }
+  RegionSet &effectMut() { return Effect; }
+  void setOverallEffect(const RegionSet *S) { OverallEffect = S; }
   std::vector<RegionVarId> &boundRegionsMut() { return BoundRegions; }
   std::vector<RegionVarId> &readRegionsMut() { return ReadRegions; }
 
@@ -112,8 +115,8 @@ private:
   RegionVarId WriteRegion = NoRegion;
   std::vector<RegionVarId> ReadRegions;
   std::vector<RegionVarId> BoundRegions;
-  std::set<RegionVarId> Effect;
-  std::set<RegionVarId> OverallEffect;
+  RegionSet Effect;
+  const RegionSet *OverallEffect = &EmptyRegionSet;
 };
 
 /// Integer constant "n @ ρ".
@@ -166,15 +169,15 @@ public:
 
   /// Region variables in scope that the closure (body + type) actually
   /// mentions; abstract region environments are restricted to this set.
-  const std::set<RegionVarId> &freeRegions() const { return FreeRegions; }
-  std::set<RegionVarId> &freeRegionsMut() { return FreeRegions; }
+  const RegionSet &freeRegions() const { return FreeRegions; }
+  RegionSet &freeRegionsMut() { return FreeRegions; }
 
   static bool classof(const RExpr *E) { return E->kind() == Kind::Lambda; }
 
 private:
   VarId Param;
   const RExpr *Body;
-  std::set<RegionVarId> FreeRegions;
+  RegionSet FreeRegions;
 };
 
 /// Application "e1 e2" — reads the closure region of e1.
@@ -225,8 +228,8 @@ public:
   /// Like RLambdaExpr::freeRegions, for the recursive function's body:
   /// region variables from *enclosing* scopes (formals excluded) that the
   /// body mentions.
-  const std::set<RegionVarId> &freeRegions() const { return FreeRegions; }
-  std::set<RegionVarId> &freeRegionsMut() { return FreeRegions; }
+  const RegionSet &freeRegions() const { return FreeRegions; }
+  RegionSet &freeRegionsMut() { return FreeRegions; }
 
   static bool classof(const RExpr *E) { return E->kind() == Kind::Letrec; }
 
@@ -236,7 +239,7 @@ private:
   VarId Param;
   const RExpr *FnBody;
   const RExpr *Body;
-  std::set<RegionVarId> FreeRegions;
+  RegionSet FreeRegions;
 };
 
 /// Region application "f[ρ1,...,ρn] @ ρ" — reads f's region-polymorphic

@@ -1,113 +1,177 @@
 #include "regions/RegionFinalize.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace afl;
 using namespace afl::regions;
 
 namespace {
 
-/// Appends the children of \p N that belong to the *same placement domain*
-/// (i.e., everything except lambda bodies and letrec function bodies,
-/// which start their own domains).
-void inDomainChildren(const RExpr *N, std::vector<const RExpr *> &Out) {
-  switch (N->kind()) {
-  case RExpr::Kind::Int:
-  case RExpr::Kind::Bool:
-  case RExpr::Kind::Unit:
-  case RExpr::Kind::Var:
-  case RExpr::Kind::Nil:
-  case RExpr::Kind::RegApp:
-  case RExpr::Kind::Lambda: // body is a separate domain
-    return;
-  case RExpr::Kind::App: {
-    const auto *A = cast<RAppExpr>(N);
-    Out.push_back(A->fn());
-    Out.push_back(A->arg());
-    return;
+/// The children of a node that belong to its *placement domain*: all of
+/// them except lambda bodies and letrec function bodies, which start their
+/// own domains. At most three (an `if`).
+class Children {
+public:
+  explicit Children(const RExpr *N) {
+    switch (N->kind()) {
+    case RExpr::Kind::Int:
+    case RExpr::Kind::Bool:
+    case RExpr::Kind::Unit:
+    case RExpr::Kind::Var:
+    case RExpr::Kind::Nil:
+    case RExpr::Kind::RegApp:
+    case RExpr::Kind::Lambda: // body is a separate domain
+      return;
+    case RExpr::Kind::App:
+      add(cast<RAppExpr>(N)->fn());
+      add(cast<RAppExpr>(N)->arg());
+      return;
+    case RExpr::Kind::Let:
+      add(cast<RLetExpr>(N)->init());
+      add(cast<RLetExpr>(N)->body());
+      return;
+    case RExpr::Kind::Letrec:
+      // fnBody is a separate domain; the continuation is same-domain.
+      add(cast<RLetrecExpr>(N)->body());
+      return;
+    case RExpr::Kind::If:
+      add(cast<RIfExpr>(N)->cond());
+      add(cast<RIfExpr>(N)->thenExpr());
+      add(cast<RIfExpr>(N)->elseExpr());
+      return;
+    case RExpr::Kind::Pair:
+      add(cast<RPairExpr>(N)->first());
+      add(cast<RPairExpr>(N)->second());
+      return;
+    case RExpr::Kind::Cons:
+      add(cast<RConsExpr>(N)->head());
+      add(cast<RConsExpr>(N)->tail());
+      return;
+    case RExpr::Kind::UnOp:
+      add(cast<RUnOpExpr>(N)->operand());
+      return;
+    case RExpr::Kind::BinOp:
+      add(cast<RBinOpExpr>(N)->lhs());
+      add(cast<RBinOpExpr>(N)->rhs());
+      return;
+    }
   }
-  case RExpr::Kind::Let: {
-    const auto *L = cast<RLetExpr>(N);
-    Out.push_back(L->init());
-    Out.push_back(L->body());
-    return;
-  }
-  case RExpr::Kind::Letrec: {
-    // fnBody is a separate domain; the in-scope continuation is same-domain.
-    Out.push_back(cast<RLetrecExpr>(N)->body());
-    return;
-  }
-  case RExpr::Kind::If: {
-    const auto *I = cast<RIfExpr>(N);
-    Out.push_back(I->cond());
-    Out.push_back(I->thenExpr());
-    Out.push_back(I->elseExpr());
-    return;
-  }
-  case RExpr::Kind::Pair: {
-    const auto *P = cast<RPairExpr>(N);
-    Out.push_back(P->first());
-    Out.push_back(P->second());
-    return;
-  }
-  case RExpr::Kind::Cons: {
-    const auto *C = cast<RConsExpr>(N);
-    Out.push_back(C->head());
-    Out.push_back(C->tail());
-    return;
-  }
-  case RExpr::Kind::UnOp:
-    Out.push_back(cast<RUnOpExpr>(N)->operand());
-    return;
-  case RExpr::Kind::BinOp: {
-    const auto *B = cast<RBinOpExpr>(N);
-    Out.push_back(B->lhs());
-    Out.push_back(B->rhs());
-    return;
-  }
-  }
-}
 
+  const RExpr *const *begin() const { return Nodes; }
+  const RExpr *const *end() const { return Nodes + Size; }
+  size_t size() const { return Size; }
+  const RExpr *operator[](size_t I) const { return Nodes[I]; }
+
+private:
+  void add(const RExpr *C) { Nodes[Size++] = C; }
+
+  const RExpr *Nodes[3] = {};
+  size_t Size = 0;
+};
+
+/// Finalization runs after the inference pass, when the RTypeTable no
+/// longer changes: every union-find class and latent effect set is final.
+/// The free regions of a type and the latent regions of an effect
+/// variable are therefore pure functions of the id, computed once into
+/// id-indexed tables however many nodes and passes ask for them.
 class Finalizer {
 public:
-  Finalizer(RegionProgram &Prog, std::vector<EffectSet> &RawEff,
+  Finalizer(RegionProgram &Prog,
             const std::unordered_map<RNodeId, RSubst> &RegAppSubst)
-      : Prog(Prog), RawEff(RawEff), RegAppSubst(RegAppSubst) {}
+      : Prog(Prog), Types(Prog.Types), RegAppSubst(RegAppSubst) {
+    Latent.resize(Types.numEffectVars());
+    LatentDone.assign(Types.numEffectVars(), false);
+    TypeFrv.resize(Types.numTypes());
+    TypeFrvDone.assign(Types.numTypes(), false);
+    Parent.resize(Prog.numNodes());
+    NodeDepth.resize(Prog.numNodes());
+    RegionDomain.assign(Types.numRegionVars(), 0);
+    FirstMention.resize(Types.numRegionVars());
+    LastMention.resize(Types.numRegionVars());
+  }
 
   void run() {
     canonicalizeGlobals();
     resolveNode(Prog.nodeMut(Prog.Root->id()));
-    std::set<RegionVarId> OuterBound(Prog.GlobalRegions.begin(),
-                                     Prog.GlobalRegions.end());
-    placeDomain(Prog.Root, OuterBound);
-    std::set<RegionVarId> RootAmbient(Prog.GlobalRegions.begin(),
-                                      Prog.GlobalRegions.end());
-    walkOverall(Prog.nodeMut(Prog.Root->id()), RootAmbient);
+    RegionSet Globals = RegionSet::fromSorted(Prog.GlobalRegions);
+    placeDomain(Prog.Root, Globals);
+    walkOverall(Prog.nodeMut(Prog.Root->id()),
+                Prog.keepSet(std::move(Globals)));
   }
 
 private:
-  RegionVarId canon(RegionVarId R) const { return Prog.Types.findRegion(R); }
+  RegionVarId canon(RegionVarId R) const { return Types.findRegion(R); }
 
   void canonicalizeGlobals() {
-    std::set<RegionVarId> G;
+    std::vector<RegionVarId> G;
     for (RegionVarId R : Prog.GlobalRegions)
-      G.insert(canon(R));
-    Prog.GlobalRegions.assign(G.begin(), G.end());
+      G.push_back(canon(R));
+    Prog.GlobalRegions = RegionSet::fromUnsorted(std::move(G)).raw();
   }
 
-  /// The (canonical) regions the latent effect of arrow type \p Arrow may
-  /// touch.
-  std::set<RegionVarId> latentRegions(RTypeId Arrow) const {
-    EffectSet Probe;
-    Probe.EffectVars.insert(Prog.Types.arrowEffect(Arrow));
-    return Prog.Types.regionsOf(Probe);
+  /// The (canonical) regions the latent effect of ε \p E may touch.
+  const RegionSet &latent(EffectVarId E) {
+    E = Types.findEffectVar(E);
+    if (!LatentDone[E]) {
+      Latent[E] = Types.latentRegions(E);
+      LatentDone[E] = true;
+    }
+    return Latent[E];
+  }
+
+  /// The (canonical) free region variables of μ \p T.
+  const RegionSet &typeFrv(RTypeId T) {
+    if (TypeFrvDone[T])
+      return TypeFrv[T];
+    RegionSet S;
+    S.insert(Types.regionOf(T));
+    switch (Types.kind(T)) {
+    case RTypeKind::Int:
+    case RTypeKind::Bool:
+    case RTypeKind::Unit:
+      break;
+    case RTypeKind::Arrow:
+      S.unionWith(latent(Types.arrowEffect(T)));
+      S.unionWith(typeFrv(Types.child0(T)));
+      S.unionWith(typeFrv(Types.child1(T)));
+      break;
+    case RTypeKind::Pair:
+      S.unionWith(typeFrv(Types.child0(T)));
+      S.unionWith(typeFrv(Types.child1(T)));
+      break;
+    case RTypeKind::List:
+      S.unionWith(typeFrv(Types.child0(T)));
+      break;
+    }
+    TypeFrv[T] = std::move(S);
+    TypeFrvDone[T] = true;
+    return TypeFrv[T];
+  }
+
+  /// Free regions of a letrec's scheme, plus \p Extra, minus its formals
+  /// and minus the scheme arrow's box region (a per-use placeholder that
+  /// is substituted fresh at every region application, so nothing binds or
+  /// accesses it).
+  RegionSet schemeRegions(const RLetrecExpr *L,
+                          RegionVarId Extra = RExpr::NoRegion) {
+    RTypeId Scheme = Prog.varInfo(L->fn()).Type;
+    RegionSet S = typeFrv(Scheme);
+    if (Extra != RExpr::NoRegion)
+      S.insert(Extra);
+    for (RegionVarId F : L->formals())
+      S.erase(F);
+    S.erase(Types.regionOf(Scheme));
+    return S;
   }
 
   //===------------------------------------------------------------------===//
   // Pass 1: canonicalize node annotations, resolve effects and actuals.
   //===------------------------------------------------------------------===//
 
+  /// Resolves \p N and its subtree. A node's effect is the effect of its
+  /// own evaluation step joined with the effects of its in-domain children
+  /// — the cumulative effect the inference pass threads upward, assembled
+  /// bottom-up here instead of being stored per node during inference.
   void resolveNode(RExpr *N) {
     // Write/read regions.
     if (N->hasWriteRegion())
@@ -115,38 +179,25 @@ private:
     for (RegionVarId &R : N->readRegionsMut())
       R = canon(R);
 
-    // Resolved cumulative effect.
-    if (N->id() < RawEff.size())
-      N->effectMut() = Prog.Types.regionsOf(RawEff[N->id()]);
-
     switch (N->kind()) {
     case RExpr::Kind::Letrec: {
       auto *L = static_cast<RLetrecExpr *>(N);
-      std::set<RegionVarId> Seen;
       std::vector<RegionVarId> Formals;
       for (RegionVarId R : L->formals()) {
         RegionVarId C = canon(R);
         // Unification may have merged two formals (the function is then
         // used with aliased actuals everywhere); keep one copy.
-        if (Seen.insert(C).second)
+        if (std::find(Formals.begin(), Formals.end(), C) == Formals.end())
           Formals.push_back(C);
       }
       L->formalsMut() = Formals;
       resolveNode(Prog.nodeMut(L->fnBody()->id()));
       resolveNode(Prog.nodeMut(L->body()->id()));
 
-      // Free regions of the recursive function's body, excluding formals
-      // and the scheme arrow's own box region (a per-use placeholder that
-      // is substituted fresh at every region application and never
-      // mentioned by any environment).
-      std::set<RegionVarId> Free;
-      Prog.Types.freeRegionVars(Prog.varInfo(L->fn()).Type, Free);
-      Free.insert(canon(N->writeRegion()));
-      for (RegionVarId F : Formals)
-        Free.erase(F);
-      Free.erase(Prog.Types.regionOf(Prog.varInfo(L->fn()).Type));
-      L->freeRegionsMut() = Free;
-      return;
+      // Free regions of the recursive function's body: the scheme and the
+      // closure region, excluding formals and the box region.
+      L->freeRegionsMut() = schemeRegions(L, N->writeRegion());
+      break;
     }
     case RExpr::Kind::RegApp: {
       auto *RA = static_cast<RRegAppExpr *>(N);
@@ -167,204 +218,199 @@ private:
         Actuals.push_back(canon(Image));
       }
       RA->actualsMut() = Actuals;
-      return;
+      break;
     }
     case RExpr::Kind::Lambda: {
       auto *L = static_cast<RLambdaExpr *>(N);
       resolveNode(Prog.nodeMut(L->body()->id()));
-      std::set<RegionVarId> Free;
-      Prog.Types.freeRegionVars(N->type(), Free);
-      L->freeRegionsMut() = Free;
-      return;
+      L->freeRegionsMut() = typeFrv(N->type());
+      break;
     }
     default:
+      for (const RExpr *C : Children(N))
+        resolveNode(Prog.nodeMut(C->id()));
       break;
     }
 
-    std::vector<const RExpr *> Children;
-    inDomainChildren(N, Children);
-    for (const RExpr *C : Children)
-      resolveNode(Prog.nodeMut(C->id()));
+    // The own step's effect is exactly what it writes and reads, plus the
+    // latent effect of the applied function at an application.
+    std::vector<RegionVarId> OwnRegions = N->readRegions();
+    if (N->hasWriteRegion())
+      OwnRegions.push_back(N->writeRegion());
+    RegionSet Eff = RegionSet::fromUnsorted(std::move(OwnRegions));
+    if (const auto *A = dyn_cast<RAppExpr>(N))
+      Eff.unionWith(latent(Types.arrowEffect(A->fn()->type())));
+    for (const RExpr *C : Children(N))
+      Eff.unionWith(C->effect());
+    N->effectMut() = std::move(Eff);
   }
 
   //===------------------------------------------------------------------===//
   // Pass 2: letregion placement.
+  //
+  // Within a placement domain a local region ρ is bound at the lowest
+  // node covering every mention of ρ: the descent from the domain root
+  // moves into the unique child whose subtree mentions ρ, and stops at a
+  // node that mentions ρ itself, at a node with several such children, or
+  // above a child whose value type contains ρ. That stop is the LCA of
+  // the nodes mentioning ρ — or its parent when the LCA is not the
+  // domain root and ρ is free in the LCA's type (a node whose type
+  // contains ρ mentions ρ, so the type test can only fire at the LCA).
+  // The LCA of a node set is the LCA of its first and last member in
+  // preorder, so one preorder walk per domain records everything needed.
   //===------------------------------------------------------------------===//
 
-  /// Regions this node itself mentions (its own memory operations, its
-  /// value's type, region-application actuals; for letrec nodes also the
-  /// scheme minus formals).
-  std::set<RegionVarId> ownMentions(const RExpr *N) const {
-    std::set<RegionVarId> Out;
+  /// Records that node \p N, visited in preorder, mentions \p R.
+  void mention(RegionVarId R, RNodeId N) {
+    if (RegionDomain[R] != DomainStamp) {
+      RegionDomain[R] = DomainStamp;
+      FirstMention[R] = N;
+      DomainRegions.push_back(R);
+    }
+    LastMention[R] = N;
+  }
+
+  /// Preorder walk of \p N's in-domain subtree: records each node's
+  /// domain parent and depth and the regions the node itself mentions (its
+  /// own memory operations, its value's type, region-application actuals;
+  /// for letrec nodes also the scheme minus formals and box region), and
+  /// collects the lambda and letrec nodes whose function bodies start the
+  /// next domains down. Every annotation is canonical after pass 1.
+  /// Lambda free regions already flow in through the type (the latent
+  /// effect is part of frv of the arrow).
+  void walkDomain(const RExpr *N, RNodeId ParentId, uint32_t Depth,
+                  std::vector<const RExpr *> &Inner) {
+    RNodeId Id = N->id();
+    Parent[Id] = ParentId;
+    NodeDepth[Id] = Depth;
+    for (RegionVarId R : typeFrv(N->type()))
+      mention(R, Id);
     if (N->hasWriteRegion())
-      Out.insert(N->writeRegion());
+      mention(N->writeRegion(), Id);
     for (RegionVarId R : N->readRegions())
-      Out.insert(R);
-    Prog.Types.freeRegionVars(N->type(), Out);
+      mention(R, Id);
     if (const auto *RA = dyn_cast<RRegAppExpr>(N))
       for (RegionVarId R : RA->actuals())
-        Out.insert(R);
+        mention(R, Id);
     if (const auto *L = dyn_cast<RLetrecExpr>(N)) {
-      std::set<RegionVarId> Scheme;
-      Prog.Types.freeRegionVars(Prog.varInfo(L->fn()).Type, Scheme);
-      for (RegionVarId F : L->formals())
-        Scheme.erase(F);
-      // The scheme arrow's box region is a per-use placeholder; it is
-      // not a mention (nothing binds or accesses it).
-      Scheme.erase(Prog.Types.regionOf(Prog.varInfo(L->fn()).Type));
-      Out.insert(Scheme.begin(), Scheme.end());
+      for (RegionVarId R : schemeRegions(L))
+        mention(R, Id);
+      Inner.push_back(N);
+    } else if (isa<RLambdaExpr>(N)) {
+      Inner.push_back(N);
     }
-    // Lambda free regions already flow in through the type (the latent
-    // effect is part of frv of the arrow).
-    std::set<RegionVarId> Canon;
-    for (RegionVarId R : Out)
-      Canon.insert(canon(R));
-    return Canon;
+    for (const RExpr *C : Children(N))
+      walkDomain(C, Id, Depth + 1, Inner);
   }
 
-  /// All regions mentioned within \p N's subtree, staying inside the
-  /// placement domain (memoized).
-  const std::set<RegionVarId> &mentioned(const RExpr *N) {
-    auto It = MentionedMemo.find(N->id());
-    if (It != MentionedMemo.end())
-      return It->second;
-    std::set<RegionVarId> M = ownMentions(N);
-    std::vector<const RExpr *> Children;
-    inDomainChildren(N, Children);
-    for (const RExpr *C : Children) {
-      const std::set<RegionVarId> &MC = mentioned(C);
-      M.insert(MC.begin(), MC.end());
+  RNodeId lca(RNodeId A, RNodeId B) const {
+    while (NodeDepth[A] > NodeDepth[B])
+      A = Parent[A];
+    while (NodeDepth[B] > NodeDepth[A])
+      B = Parent[B];
+    while (A != B) {
+      A = Parent[A];
+      B = Parent[B];
     }
-    return MentionedMemo.emplace(N->id(), std::move(M)).first->second;
+    return A;
   }
 
-  /// LCA placement of \p ToPlace within the subtree rooted at \p N.
-  /// Invariant: every region in \p ToPlace is mentioned only inside \p N's
-  /// subtree and does not occur in \p N's value type.
-  void place(const RExpr *N, const std::set<RegionVarId> &ToPlace) {
-    if (ToPlace.empty())
-      return;
-    std::vector<const RExpr *> Children;
-    inDomainChildren(N, Children);
-    std::set<RegionVarId> Own = ownMentions(N);
-    std::map<const RExpr *, std::set<RegionVarId>> Pushed;
-    std::vector<RegionVarId> BindHere;
-    for (RegionVarId R : ToPlace) {
-      const RExpr *Target = nullptr;
-      bool Multi = false;
-      for (const RExpr *C : Children) {
-        if (mentioned(C).count(R)) {
-          if (Target)
-            Multi = true;
-          Target = C;
-        }
+  void placeDomain(const RExpr *Body, const RegionSet &OuterBound) {
+    ++DomainStamp;
+    DomainRegions.clear();
+    std::vector<const RExpr *> Inner;
+    walkDomain(Body, Body->id(), 0, Inner);
+
+    std::sort(DomainRegions.begin(), DomainRegions.end());
+    std::vector<RegionVarId> Locals;
+    for (RegionVarId R : DomainRegions) {
+      if (OuterBound.contains(R))
+        continue;
+      Locals.push_back(R);
+      RNodeId At = lca(FirstMention[R], LastMention[R]);
+      if (At != Body->id() && typeFrv(Prog.node(At)->type()).contains(R))
+        At = Parent[At];
+      // Regions are placed in ascending order, so each node's letregion
+      // list comes out sorted.
+      Prog.nodeMut(At)->boundRegionsMut().push_back(R);
+    }
+
+    // Inner domains: lambda bodies see NewBound, letrec function bodies
+    // NewBound plus the letrec's formals.
+    RegionSet NewBound = OuterBound;
+    NewBound.unionWith(RegionSet::fromSorted(std::move(Locals)));
+    for (const RExpr *Fun : Inner) {
+      if (const auto *L = dyn_cast<RLambdaExpr>(Fun)) {
+        placeDomain(L->body(), NewBound);
+        continue;
       }
-      bool CanPush = Target && !Multi && !Own.count(R);
-      if (CanPush) {
-        std::set<RegionVarId> ChildType;
-        Prog.Types.freeRegionVars(Target->type(), ChildType);
-        std::set<RegionVarId> ChildTypeCanon;
-        for (RegionVarId T : ChildType)
-          ChildTypeCanon.insert(canon(T));
-        if (ChildTypeCanon.count(R))
-          CanPush = false;
-      }
-      if (CanPush)
-        Pushed[Target].insert(R);
-      else
-        BindHere.push_back(R);
-    }
-    if (!BindHere.empty()) {
-      std::sort(BindHere.begin(), BindHere.end());
-      RExpr *Mut = Prog.nodeMut(N->id());
-      for (RegionVarId R : BindHere)
-        Mut->boundRegionsMut().push_back(R);
-    }
-    for (const auto &[Child, S] : Pushed)
-      place(Child, S);
-  }
-
-  void placeDomain(const RExpr *Body, const std::set<RegionVarId> &OuterBound) {
-    MentionedMemo.clear();
-    std::set<RegionVarId> Locals;
-    for (RegionVarId R : mentioned(Body))
-      if (!OuterBound.count(R))
-        Locals.insert(R);
-    place(Body, Locals);
-
-    std::set<RegionVarId> NewBound = OuterBound;
-    Locals.insert(NewBound.begin(), NewBound.end());
-    std::swap(Locals, NewBound);
-
-    // Recurse into inner domains. Collect them first: MentionedMemo is
-    // cleared per domain, so finish this domain's work before recursing.
-    std::vector<const RExpr *> InnerBodies;
-    std::vector<std::set<RegionVarId>> InnerBounds;
-    collectInnerDomains(Body, NewBound, InnerBodies, InnerBounds);
-    for (size_t I = 0; I != InnerBodies.size(); ++I)
-      placeDomain(InnerBodies[I], InnerBounds[I]);
-  }
-
-  void collectInnerDomains(const RExpr *N, const std::set<RegionVarId> &Bound,
-                           std::vector<const RExpr *> &Bodies,
-                           std::vector<std::set<RegionVarId>> &Bounds) {
-    if (const auto *L = dyn_cast<RLambdaExpr>(N)) {
-      Bodies.push_back(L->body());
-      Bounds.push_back(Bound);
-      return;
-    }
-    if (const auto *L = dyn_cast<RLetrecExpr>(N)) {
-      std::set<RegionVarId> B = Bound;
+      const auto *L = cast<RLetrecExpr>(Fun);
+      RegionSet B = NewBound;
       for (RegionVarId F : L->formals())
         B.insert(F);
-      Bodies.push_back(L->fnBody());
-      Bounds.push_back(std::move(B));
-      collectInnerDomains(L->body(), Bound, Bodies, Bounds);
-      return;
+      placeDomain(L->fnBody(), B);
     }
-    std::vector<const RExpr *> Children;
-    inDomainChildren(N, Children);
-    for (const RExpr *C : Children)
-      collectInnerDomains(C, Bound, Bodies, Bounds);
   }
 
   //===------------------------------------------------------------------===//
   // Pass 3: overall effects.
   //===------------------------------------------------------------------===//
 
-  void walkOverall(RExpr *N, const std::set<RegionVarId> &Ambient) {
-    std::set<RegionVarId> Amb = Ambient;
-    for (RegionVarId R : N->boundRegions())
-      Amb.insert(R);
-    N->overallEffectMut() = Amb;
+  /// Sets the overall effect of \p N's subtree. \p Ambient is shared by
+  /// every node that binds no region of its own; only letregion nodes and
+  /// function bodies start a new set.
+  void walkOverall(RExpr *N, const RegionSet *Ambient) {
+    const RegionSet *Amb = Ambient;
+    if (!N->boundRegions().empty()) {
+      RegionSet S = *Ambient;
+      for (RegionVarId R : N->boundRegions())
+        S.insert(R);
+      Amb = Prog.keepSet(std::move(S));
+    }
+    N->setOverallEffect(Amb);
 
     if (auto *L = dyn_cast<RLambdaExpr>(N)) {
-      walkOverall(Prog.nodeMut(L->body()->id()), latentRegions(N->type()));
+      walkOverall(Prog.nodeMut(L->body()->id()),
+                  Prog.keepSet(latent(Types.arrowEffect(N->type()))));
       return;
     }
     if (auto *L = dyn_cast<RLetrecExpr>(N)) {
+      RTypeId Scheme = Prog.varInfo(L->fn()).Type;
       walkOverall(Prog.nodeMut(L->fnBody()->id()),
-                  latentRegions(Prog.varInfo(L->fn()).Type));
+                  Prog.keepSet(latent(Types.arrowEffect(Scheme))));
       walkOverall(Prog.nodeMut(L->body()->id()), Amb);
       return;
     }
-    std::vector<const RExpr *> Children;
-    inDomainChildren(N, Children);
-    for (const RExpr *C : Children)
+    for (const RExpr *C : Children(N))
       walkOverall(Prog.nodeMut(C->id()), Amb);
   }
 
   RegionProgram &Prog;
-  std::vector<EffectSet> &RawEff;
+  const RTypeTable &Types;
   const std::unordered_map<RNodeId, RSubst> &RegAppSubst;
-  std::unordered_map<RNodeId, std::set<RegionVarId>> MentionedMemo;
+
+  /// Latent regions per canonical effect variable.
+  std::vector<RegionSet> Latent;
+  std::vector<bool> LatentDone;
+  /// Free region variables per region type.
+  std::vector<RegionSet> TypeFrv;
+  std::vector<bool> TypeFrvDone;
+  /// Placement: the domain tree (parent and depth per node), and per
+  /// region the first and last mentioning node of the current domain.
+  std::vector<RNodeId> Parent;
+  std::vector<uint32_t> NodeDepth;
+  std::vector<uint32_t> RegionDomain;
+  std::vector<RNodeId> FirstMention;
+  std::vector<RNodeId> LastMention;
+  std::vector<RegionVarId> DomainRegions;
+  uint32_t DomainStamp = 0;
 };
 
 } // namespace
 
 void regions::finalizeRegionProgram(
-    RegionProgram &Prog, std::vector<EffectSet> &RawEff,
+    RegionProgram &Prog,
     const std::unordered_map<RNodeId, RSubst> &RegAppSubst) {
-  Finalizer F(Prog, RawEff, RegAppSubst);
+  Finalizer F(Prog, RegAppSubst);
   F.run();
 }

@@ -18,16 +18,15 @@
 #include "regions/RegionProgram.h"
 
 #include <unordered_map>
-#include <vector>
 
 namespace afl {
 namespace regions {
 
-/// Runs finalization. \p RawEff holds the unresolved per-node effect sets
-/// produced by inference (indexed by node id); \p RegAppSubst maps each
-/// region-application node to the instantiation substitution it used.
+/// Runs finalization. \p RegAppSubst maps each region-application node to
+/// the instantiation substitution it used. Requires a complete inference
+/// pass: the region type table is not modified any more.
 void finalizeRegionProgram(
-    RegionProgram &Prog, std::vector<EffectSet> &RawEff,
+    RegionProgram &Prog,
     const std::unordered_map<RNodeId, RSubst> &RegAppSubst);
 
 } // namespace regions

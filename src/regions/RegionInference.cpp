@@ -6,7 +6,6 @@
 #include "ast/Expr.h"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 
 using namespace afl;
@@ -55,8 +54,6 @@ public:
 
   bool run(const ast::Expr *Root);
 
-  /// Raw (unresolved) effect per node id; consumed by finalization.
-  std::vector<EffectSet> RawEff;
   /// Instantiation substitution per region-application node.
   std::unordered_map<RNodeId, RSubst> RegAppSubst;
 
@@ -67,27 +64,55 @@ private:
   Res inferVar(const ast::VarExpr *E);
   Res inferLetrec(const ast::LetrecExpr *E);
 
-  /// Registers \p N's type/effect bookkeeping and returns the Res.
-  Res finish(RExpr *N, RTypeId Type, EffectSet Eff) {
+  /// Sets \p N's type and returns its Res. The node's own effect needs no
+  /// record: it is what the node writes and reads (plus the applied
+  /// function's arrow effect at an application), so finalization
+  /// recomputes the per-node effects from the annotations.
+  static Res finish(RExpr *N, RTypeId Type, EffectSet Eff) {
     N->setType(Type);
-    if (RawEff.size() <= N->id())
-      RawEff.resize(N->id() + 1);
-    RawEff[N->id()] = Eff;
     return {N, Type, std::move(Eff)};
   }
 
-  /// Free region variables of the first \p Depth environment bindings
-  /// (entire environment if SIZE_MAX).
-  std::set<RegionVarId> frvTE(size_t Depth) const;
-  std::set<EffectVarId> fevTE(size_t Depth) const;
+  //===------------------------------------------------------------------===//
+  // Observable variables. A query marks the canonical region and effect
+  // variables free in some environment prefix and types with the current
+  // stamp, so membership is one array read. No set is built, and each
+  // effect variable's latent set is expanded once per query even when
+  // several bindings share it.
+  //===------------------------------------------------------------------===//
 
-  /// Computes the observable part of a function body's effect and merges
-  /// it into the arrow effect \p Eps. Regions of \p BodyEff outside
-  /// \p Observable stay latent-local (letregion placement binds them
-  /// inside the body later).
-  bool pruneIntoArrowEffect(EffectVarId Eps, const EffectSet &BodyEff,
-                            const std::set<RegionVarId> &Observable,
-                            const std::set<EffectVarId> &ObservableEffects);
+  /// Starts a new query: nothing is marked.
+  void beginMarks() {
+    ++Stamp;
+    RegionMark.resize(types().numRegionVars(), 0);
+    EffectMark.resize(types().numEffectVars(), 0);
+  }
+  /// Marks frv and fev of the first \p Depth environment bindings, plus
+  /// the closure region of each letrec-bound function among them.
+  void markEnv(size_t Depth);
+  /// Marks frv and fev of μ \p T.
+  void markType(RTypeId T);
+  void markRegion(RegionVarId R) { RegionMark[types().findRegion(R)] = Stamp; }
+  void markEffect(EffectVarId E);
+  /// Whether canonical \p R / \p E is marked in the current query.
+  bool regionMarked(RegionVarId R) const {
+    return R < RegionMark.size() && RegionMark[R] == Stamp;
+  }
+  bool effectMarked(EffectVarId E) const {
+    return E < EffectMark.size() && EffectMark[E] == Stamp;
+  }
+
+  /// Computes the observable part of a function body's effect — the
+  /// marked regions and effect variables of \p BodyEff — and merges it
+  /// into the arrow effect \p Eps. Unmarked regions stay latent-local
+  /// (letregion placement binds them inside the body later).
+  bool pruneIntoArrowEffect(EffectVarId Eps, const EffectSet &BodyEff);
+
+  /// The variables of a region-polymorphic function's scheme that are not
+  /// free in the environment outside it: canonical region variables, and
+  /// effect variables, each ascending.
+  void quantifiable(const FunDecl &F, std::vector<RegionVarId> &Regions,
+                    std::vector<EffectVarId> &Effects);
 
   /// Deterministic fingerprint of a scheme's region/effect structure, used
   /// to detect the polymorphic-recursion fixpoint.
@@ -101,42 +126,103 @@ private:
   std::vector<Binding> Env;
   /// Keeps FunDecls alive for the whole run (Env holds raw pointers).
   std::vector<std::unique_ptr<FunDecl>> FunDecls;
+  /// Query marks per region / effect variable id, and the current stamp.
+  std::vector<uint32_t> RegionMark;
+  std::vector<uint32_t> EffectMark;
+  uint32_t Stamp = 0;
+  std::vector<EffectVarId> EffectWork;
   static constexpr unsigned MaxFixpointIters = 64;
 };
 
 } // namespace
 
-std::set<RegionVarId> RegionInferencer::frvTE(size_t Depth) const {
-  std::set<RegionVarId> Out;
+void RegionInferencer::markEnv(size_t Depth) {
   size_t N = std::min(Depth, Env.size());
   for (size_t I = 0; I != N; ++I) {
-    Prog.Types.freeRegionVars(Env[I].Type, Out);
+    markType(Env[I].Type);
     if (Env[I].Fun)
-      Out.insert(Prog.Types.findRegion(Env[I].Fun->ClosRegion));
+      markRegion(Env[I].Fun->ClosRegion);
   }
-  return Out;
 }
 
-std::set<EffectVarId> RegionInferencer::fevTE(size_t Depth) const {
-  std::set<EffectVarId> Out;
-  size_t N = std::min(Depth, Env.size());
-  for (size_t I = 0; I != N; ++I)
-    Prog.Types.freeEffectVars(Env[I].Type, Out);
-  return Out;
+void RegionInferencer::markType(RTypeId T) {
+  const RTypeTable &TT = Prog.Types;
+  markRegion(TT.regionOf(T));
+  switch (TT.kind(T)) {
+  case RTypeKind::Int:
+  case RTypeKind::Bool:
+  case RTypeKind::Unit:
+    return;
+  case RTypeKind::Pair:
+    markType(TT.child0(T));
+    markType(TT.child1(T));
+    return;
+  case RTypeKind::List:
+    markType(TT.child0(T));
+    return;
+  case RTypeKind::Arrow:
+    markEffect(TT.arrowEffect(T));
+    markType(TT.child0(T));
+    markType(TT.child1(T));
+    return;
+  }
 }
 
-bool RegionInferencer::pruneIntoArrowEffect(
-    EffectVarId Eps, const EffectSet &BodyEff,
-    const std::set<RegionVarId> &Observable,
-    const std::set<EffectVarId> &ObservableEffects) {
+void RegionInferencer::markEffect(EffectVarId E) {
+  const RTypeTable &TT = Prog.Types;
+  EffectWork.assign(1, TT.findEffectVar(E));
+  while (!EffectWork.empty()) {
+    EffectVarId EV = EffectWork.back();
+    EffectWork.pop_back();
+    if (EffectMark[EV] == Stamp)
+      continue;
+    EffectMark[EV] = Stamp;
+    const EffectSet &Latent = TT.latentOf(EV);
+    for (RegionVarId R : Latent.Regions)
+      markRegion(R);
+    for (EffectVarId Next : Latent.EffectVars)
+      EffectWork.push_back(TT.findEffectVar(Next));
+  }
+}
+
+bool RegionInferencer::pruneIntoArrowEffect(EffectVarId Eps,
+                                            const EffectSet &BodyEff) {
   EffectSet Phi;
+  std::vector<RegionVarId> Regions;
   for (RegionVarId R : types().regionsOf(BodyEff))
-    if (Observable.count(R))
-      Phi.Regions.insert(R);
-  for (EffectVarId E : BodyEff.EffectVars)
-    if (ObservableEffects.count(types().findEffectVar(E)))
-      Phi.EffectVars.insert(types().findEffectVar(E));
+    if (regionMarked(R))
+      Regions.push_back(R);
+  Phi.Regions = RegionSet::fromSorted(std::move(Regions));
+  std::vector<EffectVarId> Effects;
+  for (EffectVarId E : BodyEff.EffectVars) {
+    EffectVarId C = types().findEffectVar(E);
+    if (effectMarked(C))
+      Effects.push_back(C);
+  }
+  Phi.EffectVars = EffectVarSet::fromUnsorted(std::move(Effects));
   return types().addToEffectVar(Eps, Phi);
+}
+
+void RegionInferencer::quantifiable(const FunDecl &F,
+                                    std::vector<RegionVarId> &Regions,
+                                    std::vector<EffectVarId> &Effects) {
+  // The region holding f's own region-polymorphic closure is bound at the
+  // letrec, never quantified (the body reads it at recursive calls, so it
+  // appears in the latent effect).
+  beginMarks();
+  markEnv(F.EnvDepth);
+  markRegion(F.ClosRegion);
+  RegionSet SchemeR;
+  types().freeRegionVars(F.SchemeArrow, SchemeR);
+  SchemeR.insert(types().regionOf(F.SchemeArrow));
+  for (RegionVarId R : SchemeR)
+    if (!regionMarked(R))
+      Regions.push_back(R);
+  EffectVarSet SchemeE;
+  types().freeEffectVars(F.SchemeArrow, SchemeE);
+  for (EffectVarId EV : SchemeE)
+    if (!effectMarked(EV))
+      Effects.push_back(EV);
 }
 
 void RegionInferencer::fingerprintAppend(RTypeId T, std::string &Out) const {
@@ -157,10 +243,8 @@ void RegionInferencer::fingerprintAppend(RTypeId T, std::string &Out) const {
     fingerprintAppend(TT.child0(T), Out);
     return;
   case RTypeKind::Arrow: {
-    EffectSet Probe;
-    Probe.EffectVars.insert(TT.arrowEffect(T));
     Out += '{';
-    for (RegionVarId R : TT.regionsOf(Probe)) {
+    for (RegionVarId R : TT.latentRegions(TT.arrowEffect(T))) {
       Out += std::to_string(R);
       Out += ',';
     }
@@ -188,25 +272,14 @@ Res RegionInferencer::inferVar(const ast::VarExpr *E) {
     }
     // Use of a region-polymorphic function: region application f[ρ⃗]@ρ.
     FunDecl &F = *It->Fun;
-    std::set<RegionVarId> OuterR = frvTE(F.EnvDepth);
-    // The region holding f's own region-polymorphic closure is bound at
-    // the letrec, never quantified (the body reads it at recursive calls,
-    // so it appears in the latent effect).
-    OuterR.insert(types().findRegion(F.ClosRegion));
-    std::set<EffectVarId> OuterE = fevTE(F.EnvDepth);
-    std::set<RegionVarId> SchemeR;
-    types().freeRegionVars(F.SchemeArrow, SchemeR);
-    SchemeR.insert(types().regionOf(F.SchemeArrow));
-    std::set<EffectVarId> SchemeE;
-    types().freeEffectVars(F.SchemeArrow, SchemeE);
-
+    std::vector<RegionVarId> QuantR;
+    std::vector<EffectVarId> QuantE;
+    quantifiable(F, QuantR, QuantE);
     RSubst Subst;
-    for (RegionVarId R : SchemeR)
-      if (!OuterR.count(R))
-        Subst.Regions.push_back({R, types().freshRegion()});
-    for (EffectVarId EV : SchemeE)
-      if (!OuterE.count(EV))
-        Subst.Effects.push_back({EV, types().freshEffectVar()});
+    for (RegionVarId R : QuantR)
+      Subst.Regions.push_back({R, types().freshRegion()});
+    for (EffectVarId EV : QuantE)
+      Subst.Effects.push_back({EV, types().freshEffectVar()});
 
     RTypeId Inst = types().instantiate(F.SchemeArrow, Subst);
     RRegAppExpr *N =
@@ -254,13 +327,11 @@ Res RegionInferencer::inferLetrec(const ast::LetrecExpr *E) {
     Env.pop_back();
     types().unify(BodyRes.Type, ResultTy);
 
-    std::set<RegionVarId> Observable = frvTE(Env.size());
-    types().freeRegionVars(ParamTy, Observable);
-    types().freeRegionVars(ResultTy, Observable);
-    std::set<EffectVarId> ObservableEffects = fevTE(Env.size());
-    types().freeEffectVars(ParamTy, ObservableEffects);
-    types().freeEffectVars(ResultTy, ObservableEffects);
-    pruneIntoArrowEffect(Eps, BodyRes.Eff, Observable, ObservableEffects);
+    beginMarks();
+    markEnv(Env.size());
+    markType(ParamTy);
+    markType(ResultTy);
+    pruneIntoArrowEffect(Eps, BodyRes.Eff);
 
     std::string Fp = fingerprint(SchemeArrow);
     if (Fp == PrevFp) {
@@ -276,15 +347,14 @@ Res RegionInferencer::inferLetrec(const ast::LetrecExpr *E) {
     return {};
   }
 
-  // Freeze the formal region parameters: quantified = frv(scheme) minus
-  // the outer environment, minus the per-use box region of the arrow.
-  std::set<RegionVarId> OuterR = frvTE(Fun->EnvDepth);
-  OuterR.insert(types().findRegion(Fun->ClosRegion));
-  std::set<RegionVarId> SchemeR;
-  types().freeRegionVars(Fun->SchemeArrow, SchemeR);
+  // Freeze the formal region parameters: the quantifiable regions minus
+  // the per-use box region of the arrow.
+  std::vector<RegionVarId> QuantR;
+  std::vector<EffectVarId> QuantE;
+  quantifiable(*Fun, QuantR, QuantE);
   RegionVarId BoxRegion = types().regionOf(Fun->SchemeArrow);
-  for (RegionVarId R : SchemeR)
-    if (!OuterR.count(R) && R != BoxRegion)
+  for (RegionVarId R : QuantR)
+    if (R != BoxRegion)
       Fun->Formals.push_back(R);
   Fun->FormalsFixed = true;
 
@@ -300,7 +370,7 @@ Res RegionInferencer::inferLetrec(const ast::LetrecExpr *E) {
   Prog.varInfo(Fun->Var).Letrec = N;
   FunDecls.push_back(std::move(Fun));
 
-  EffectSet Eff = InRes.Eff;
+  EffectSet Eff = std::move(InRes.Eff);
   Eff.Regions.insert(FunDecls.back()->ClosRegion);
   return finish(N, InRes.Type, std::move(Eff));
 }
@@ -347,13 +417,11 @@ Res RegionInferencer::infer(const ast::Expr *E) {
       return {};
 
     EffectVarId Eps = types().freshEffectVar();
-    std::set<RegionVarId> Observable = frvTE(Env.size());
-    types().freeRegionVars(ParamTy, Observable);
-    types().freeRegionVars(Body.Type, Observable);
-    std::set<EffectVarId> ObservableEffects = fevTE(Env.size());
-    types().freeEffectVars(ParamTy, ObservableEffects);
-    types().freeEffectVars(Body.Type, ObservableEffects);
-    pruneIntoArrowEffect(Eps, Body.Eff, Observable, ObservableEffects);
+    beginMarks();
+    markEnv(Env.size());
+    markType(ParamTy);
+    markType(Body.Type);
+    pruneIntoArrowEffect(Eps, Body.Eff);
 
     RegionVarId R = types().freshRegion();
     RTypeId Ty = types().mkArrow(ParamTy, Eps, Body.Type, R);
@@ -378,7 +446,7 @@ Res RegionInferencer::infer(const ast::Expr *E) {
     RAppExpr *N = Prog.create<RAppExpr>(Fn.Node, Arg.Node);
     RegionVarId ClosR = types().regionOf(Fn.Type);
     N->addReadRegion(ClosR);
-    EffectSet Eff = Fn.Eff;
+    EffectSet Eff = std::move(Fn.Eff);
     Eff.unionWith(Arg.Eff);
     Eff.Regions.insert(ClosR);
     Eff.EffectVars.insert(types().arrowEffect(Fn.Type));
@@ -396,7 +464,7 @@ Res RegionInferencer::infer(const ast::Expr *E) {
     if (!Body.Node)
       return {};
     RLetExpr *N = Prog.create<RLetExpr>(V, Init.Node, Body.Node);
-    EffectSet Eff = Init.Eff;
+    EffectSet Eff = std::move(Init.Eff);
     Eff.unionWith(Body.Eff);
     return finish(N, Body.Type, std::move(Eff));
   }
@@ -417,7 +485,7 @@ Res RegionInferencer::infer(const ast::Expr *E) {
     RIfExpr *N = Prog.create<RIfExpr>(Cond.Node, Then.Node, Else.Node);
     RegionVarId CondR = types().regionOf(Cond.Type);
     N->addReadRegion(CondR);
-    EffectSet Eff = Cond.Eff;
+    EffectSet Eff = std::move(Cond.Eff);
     Eff.unionWith(Then.Eff);
     Eff.unionWith(Else.Eff);
     Eff.Regions.insert(CondR);
@@ -435,7 +503,7 @@ Res RegionInferencer::infer(const ast::Expr *E) {
     RTypeId Ty = types().mkPair(First.Type, Second.Type, R);
     RPairExpr *N = Prog.create<RPairExpr>(First.Node, Second.Node);
     N->setWriteRegion(R);
-    EffectSet Eff = First.Eff;
+    EffectSet Eff = std::move(First.Eff);
     Eff.unionWith(Second.Eff);
     Eff.Regions.insert(R);
     return finish(N, Ty, std::move(Eff));
@@ -463,7 +531,7 @@ Res RegionInferencer::infer(const ast::Expr *E) {
     RConsExpr *N = Prog.create<RConsExpr>(Head.Node, Tail.Node);
     RegionVarId SpineR = types().regionOf(Tail.Type);
     N->setWriteRegion(SpineR);
-    EffectSet Eff = Head.Eff;
+    EffectSet Eff = std::move(Head.Eff);
     Eff.unionWith(Tail.Eff);
     Eff.Regions.insert(SpineR);
     return finish(N, Tail.Type, std::move(Eff));
@@ -476,7 +544,7 @@ Res RegionInferencer::infer(const ast::Expr *E) {
     RUnOpExpr *N = Prog.create<RUnOpExpr>(U->op(), Operand.Node);
     RegionVarId OpR = types().regionOf(Operand.Type);
     N->addReadRegion(OpR);
-    EffectSet Eff = Operand.Eff;
+    EffectSet Eff = std::move(Operand.Eff);
     Eff.Regions.insert(OpR);
     switch (U->op()) {
     case ast::UnOpKind::Fst:
@@ -511,7 +579,7 @@ Res RegionInferencer::infer(const ast::Expr *E) {
     N->addReadRegion(RR);
     RegionVarId ResR = types().freshRegion();
     N->setWriteRegion(ResR);
-    EffectSet Eff = Lhs.Eff;
+    EffectSet Eff = std::move(Lhs.Eff);
     Eff.unionWith(Rhs.Eff);
     Eff.Regions.insert(LR);
     Eff.Regions.insert(RR);
@@ -533,9 +601,9 @@ bool RegionInferencer::run(const ast::Expr *Root) {
     return false;
   Prog.Root = R.Node;
   // Globals: the regions of the program result, observed at program end.
-  std::set<RegionVarId> ResultRegions;
+  RegionSet ResultRegions;
   types().freeRegionVars(R.Type, ResultRegions);
-  Prog.GlobalRegions.assign(ResultRegions.begin(), ResultRegions.end());
+  Prog.GlobalRegions = ResultRegions.raw();
   return true;
 }
 
@@ -548,6 +616,6 @@ regions::inferRegions(const ast::Expr *Root, const ast::ASTContext &Ctx,
   RegionInferencer Inf(*Prog, Ctx, Typed, Diags);
   if (!Inf.run(Root))
     return nullptr;
-  finalizeRegionProgram(*Prog, Inf.RawEff, Inf.RegAppSubst);
+  finalizeRegionProgram(*Prog, Inf.RegAppSubst);
   return Prog;
 }

@@ -12,6 +12,7 @@
 #include "regions/RegionExpr.h"
 #include "support/ArenaPool.h"
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -84,10 +85,18 @@ public:
   /// Mutable access for finalization passes.
   RExpr *nodeMut(RNodeId Id) { return Nodes[Id]; }
 
+  /// Keeps \p S for the program's lifetime and returns its stable address,
+  /// for annotations many nodes share (overall effects).
+  const RegionSet *keepSet(RegionSet S) {
+    SharedSets.push_back(std::move(S));
+    return &SharedSets.back();
+  }
+
 private:
   PooledArena Mem;
   std::vector<RExpr *> Nodes;
   std::vector<VarInfo> Vars;
+  std::deque<RegionSet> SharedSets;
 };
 
 } // namespace regions

@@ -6,12 +6,8 @@ using namespace afl;
 using namespace afl::regions;
 
 bool EffectSet::unionWith(const EffectSet &Other) {
-  bool Grew = false;
-  for (RegionVarId R : Other.Regions)
-    Grew |= Regions.insert(R).second;
-  for (EffectVarId E : Other.EffectVars)
-    Grew |= EffectVars.insert(E).second;
-  return Grew;
+  bool Grew = Regions.unionWith(Other.Regions);
+  return EffectVars.unionWith(Other.EffectVars) || Grew;
 }
 
 RegionVarId RSubst::lookupRegion(RegionVarId R) const {
@@ -197,36 +193,54 @@ RTypeId RTypeTable::instantiate(RTypeId T, const RSubst &Subst) {
   return 0;
 }
 
-void RTypeTable::freeRegionVars(RTypeId T,
-                                std::set<RegionVarId> &Out) const {
+void RTypeTable::collectLatent(EffectVarId E, std::vector<RegionVarId> &Out,
+                               EffectVarSet &Expanded) const {
+  std::vector<EffectVarId> Work{findEffectVar(E)};
+  while (!Work.empty()) {
+    EffectVarId EV = Work.back();
+    Work.pop_back();
+    if (!Expanded.insert(EV))
+      continue;
+    const EffectSet &Latent = EffectSets[EV];
+    for (RegionVarId R : Latent.Regions)
+      Out.push_back(findRegion(R));
+    for (EffectVarId Next : Latent.EffectVars)
+      Work.push_back(findEffectVar(Next));
+  }
+}
+
+void RTypeTable::collectRegions(RTypeId T, std::vector<RegionVarId> &Out,
+                                EffectVarSet &Expanded) const {
   const Node &N = Nodes[T];
-  Out.insert(findRegion(N.Region));
+  Out.push_back(findRegion(N.Region));
   switch (N.Kind) {
   case RTypeKind::Int:
   case RTypeKind::Bool:
   case RTypeKind::Unit:
     return;
   case RTypeKind::Pair:
-    freeRegionVars(N.Child0, Out);
-    freeRegionVars(N.Child1, Out);
+    collectRegions(N.Child0, Out, Expanded);
+    collectRegions(N.Child1, Out, Expanded);
     return;
   case RTypeKind::List:
-    freeRegionVars(N.Child0, Out);
+    collectRegions(N.Child0, Out, Expanded);
     return;
-  case RTypeKind::Arrow: {
-    EffectSet Latent;
-    Latent.EffectVars.insert(findEffectVar(N.Eps));
-    std::set<RegionVarId> LatentRegions = regionsOf(Latent);
-    Out.insert(LatentRegions.begin(), LatentRegions.end());
-    freeRegionVars(N.Child0, Out);
-    freeRegionVars(N.Child1, Out);
+  case RTypeKind::Arrow:
+    collectLatent(N.Eps, Out, Expanded);
+    collectRegions(N.Child0, Out, Expanded);
+    collectRegions(N.Child1, Out, Expanded);
     return;
-  }
   }
 }
 
-void RTypeTable::freeEffectVars(RTypeId T,
-                                std::set<EffectVarId> &Out) const {
+void RTypeTable::freeRegionVars(RTypeId T, RegionSet &Out) const {
+  std::vector<RegionVarId> Found;
+  EffectVarSet Expanded;
+  collectRegions(T, Found, Expanded);
+  Out.unionWith(RegionSet::fromUnsorted(std::move(Found)));
+}
+
+void RTypeTable::freeEffectVars(RTypeId T, EffectVarSet &Out) const {
   const Node &N = Nodes[T];
   switch (N.Kind) {
   case RTypeKind::Int:
@@ -247,7 +261,7 @@ void RTypeTable::freeEffectVars(RTypeId T,
     while (!Work.empty()) {
       EffectVarId E = Work.back();
       Work.pop_back();
-      if (!Out.insert(E).second)
+      if (!Out.insert(E))
         continue;
       for (EffectVarId Next : EffectSets[E].EffectVars)
         Work.push_back(findEffectVar(Next));
@@ -259,26 +273,22 @@ void RTypeTable::freeEffectVars(RTypeId T,
   }
 }
 
-std::set<RegionVarId> RTypeTable::regionsOf(const EffectSet &E) const {
-  std::set<RegionVarId> Out;
-  std::set<EffectVarId> Visited;
-  std::vector<EffectVarId> Work;
+RegionSet RTypeTable::regionsOf(const EffectSet &E) const {
+  std::vector<RegionVarId> Found;
+  Found.reserve(E.Regions.size());
   for (RegionVarId R : E.Regions)
-    Out.insert(findRegion(R));
+    Found.push_back(findRegion(R));
+  EffectVarSet Expanded;
   for (EffectVarId EV : E.EffectVars)
-    Work.push_back(findEffectVar(EV));
-  while (!Work.empty()) {
-    EffectVarId EV = Work.back();
-    Work.pop_back();
-    if (!Visited.insert(EV).second)
-      continue;
-    const EffectSet &Latent = EffectSets[EV];
-    for (RegionVarId R : Latent.Regions)
-      Out.insert(findRegion(R));
-    for (EffectVarId Next : Latent.EffectVars)
-      Work.push_back(findEffectVar(Next));
-  }
-  return Out;
+    collectLatent(EV, Found, Expanded);
+  return RegionSet::fromUnsorted(std::move(Found));
+}
+
+RegionSet RTypeTable::latentRegions(EffectVarId E) const {
+  std::vector<RegionVarId> Found;
+  EffectVarSet Expanded;
+  collectLatent(E, Found, Expanded);
+  return RegionSet::fromUnsorted(std::move(Found));
 }
 
 void RTypeTable::strAppend(RTypeId T, std::string &Out) const {
@@ -311,9 +321,7 @@ void RTypeTable::strAppend(RTypeId T, std::string &Out) const {
     EffectVarId E = findEffectVar(N.Eps);
     Out += " -e" + std::to_string(E) + "{";
     bool FirstR = true;
-    EffectSet Probe;
-    Probe.EffectVars.insert(E);
-    for (RegionVarId R : regionsOf(Probe)) {
+    for (RegionVarId R : latentRegions(E)) {
       if (!FirstR)
         Out += ',';
       Out += 'r' + std::to_string(R);

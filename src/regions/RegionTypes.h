@@ -19,11 +19,11 @@
 #ifndef AFL_REGIONS_REGIONTYPES_H
 #define AFL_REGIONS_REGIONTYPES_H
 
+#include "support/FlatSet.h"
 #include "types/Type.h"
 
 #include <cassert>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -44,11 +44,19 @@ using RTypeId = uint32_t;
 /// decoration happens on ground ML types).
 enum class RTypeKind : uint8_t { Int, Bool, Unit, Arrow, Pair, List };
 
+/// A set of region variables, ascending. Every region set of the region
+/// layer and of the analyses that read its annotations uses this
+/// representation; ascending iteration keeps printed output ordered.
+using RegionSet = FlatSet<RegionVarId>;
+
+/// A set of effect variables, ascending.
+using EffectVarSet = FlatSet<EffectVarId>;
+
 /// An effect: sets of region variables and effect variables. Stored on
 /// effect-variable representatives and on expression nodes.
 struct EffectSet {
-  std::set<RegionVarId> Regions;
-  std::set<EffectVarId> EffectVars;
+  RegionSet Regions;
+  EffectVarSet EffectVars;
 
   bool empty() const { return Regions.empty() && EffectVars.empty(); }
 
@@ -119,6 +127,7 @@ public:
     return make(RTypeKind::List, R, Elem);
   }
 
+  uint32_t numTypes() const { return static_cast<uint32_t>(Nodes.size()); }
   RTypeKind kind(RTypeId T) const { return Nodes[T].Kind; }
   /// The (canonical) region of μ.
   RegionVarId regionOf(RTypeId T) const { return findRegion(Nodes[T].Region); }
@@ -143,17 +152,21 @@ public:
   /// Unmapped variables are shared, not copied.
   RTypeId instantiate(RTypeId T, const RSubst &Subst);
 
-  /// Collects the canonical free region variables of μ \p T, including
-  /// regions reachable through arrow latent effects (transitively through
-  /// effect variables).
-  void freeRegionVars(RTypeId T, std::set<RegionVarId> &Out) const;
+  /// Adds the canonical free region variables of μ \p T to \p Out,
+  /// including regions reachable through arrow latent effects
+  /// (transitively through effect variables).
+  void freeRegionVars(RTypeId T, RegionSet &Out) const;
 
-  /// Collects the canonical effect variables reachable from μ \p T.
-  void freeEffectVars(RTypeId T, std::set<EffectVarId> &Out) const;
+  /// Adds the canonical effect variables reachable from μ \p T to \p Out.
+  void freeEffectVars(RTypeId T, EffectVarSet &Out) const;
 
   /// Expands \p E to its full set of canonical region variables, chasing
   /// effect variables transitively.
-  std::set<RegionVarId> regionsOf(const EffectSet &E) const;
+  RegionSet regionsOf(const EffectSet &E) const;
+
+  /// The canonical regions the latent effect of ε \p E may touch:
+  /// regionsOf of the effect {ε}.
+  RegionSet latentRegions(EffectVarId E) const;
 
   /// Renders μ for debugging, e.g. "(int@r1 -e3{r1}-> int@r2)@r0".
   std::string str(RTypeId T) const;
@@ -175,6 +188,16 @@ private:
   }
 
   void strAppend(RTypeId T, std::string &Out) const;
+
+  /// Appends the canonical regions of μ \p T (with duplicates) to \p Out,
+  /// expanding each arrow effect not yet in \p Expanded.
+  void collectRegions(RTypeId T, std::vector<RegionVarId> &Out,
+                      EffectVarSet &Expanded) const;
+  /// Appends the canonical regions in the latent sets of every effect
+  /// variable reachable from \p E (with duplicates) to \p Out, skipping
+  /// and recording variables in \p Expanded.
+  void collectLatent(EffectVarId E, std::vector<RegionVarId> &Out,
+                     EffectVarSet &Expanded) const;
 
   std::vector<Node> Nodes;
   // Union-find parents. Mutable to allow path compression in const finds.

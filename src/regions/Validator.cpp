@@ -12,8 +12,7 @@ public:
   explicit ProgramValidator(const RegionProgram &Prog) : Prog(Prog) {}
 
   std::vector<std::string> run() {
-    std::set<RegionVarId> Scope(Prog.GlobalRegions.begin(),
-                                Prog.GlobalRegions.end());
+    RegionSet Scope = RegionSet::fromUnsorted(Prog.GlobalRegions);
     for (RegionVarId R : Prog.GlobalRegions)
       checkCanonical(R, "global region");
     visit(Prog.Root, Scope);
@@ -32,16 +31,16 @@ private:
   }
 
   void checkInScope(const RExpr *N, RegionVarId R,
-                    const std::set<RegionVarId> &Scope, const char *What) {
+                    const RegionSet &Scope, const char *What) {
     if (!Scope.count(R))
       error(N, std::string(What) + " r" + std::to_string(R) +
                    " is not in scope");
   }
 
-  void visit(const RExpr *N, std::set<RegionVarId> Scope) {
+  void visit(const RExpr *N, RegionSet Scope) {
     for (RegionVarId R : N->boundRegions()) {
       checkCanonical(R, "letregion-bound region");
-      if (!Scope.insert(R).second)
+      if (!Scope.insert(R))
         error(N, "letregion rebinds in-scope region r" + std::to_string(R));
     }
 
@@ -80,11 +79,11 @@ private:
       return;
     case RExpr::Kind::Letrec: {
       const auto *L = cast<RLetrecExpr>(N);
-      std::set<RegionVarId> Formals;
-      std::set<RegionVarId> BodyScope = Scope;
+      RegionSet Formals;
+      RegionSet BodyScope = Scope;
       for (RegionVarId F : L->formals()) {
         checkCanonical(F, "letrec formal");
-        if (!Formals.insert(F).second)
+        if (!Formals.insert(F))
           error(N, "duplicate letrec formal r" + std::to_string(F));
         if (Scope.count(F))
           error(N, "letrec formal r" + std::to_string(F) +
@@ -143,8 +142,7 @@ public:
       : Prog(Prog), C(C) {}
 
   std::vector<std::string> run() {
-    std::set<RegionVarId> Scope(Prog.GlobalRegions.begin(),
-                                Prog.GlobalRegions.end());
+    RegionSet Scope = RegionSet::fromUnsorted(Prog.GlobalRegions);
     visit(Prog.Root, Scope);
     // Every op must be anchored at a node we visited.
     for (const auto &[Node, Ops] : C.Pre)
@@ -171,7 +169,7 @@ private:
   }
 
   void checkOps(const RExpr *N, const std::vector<COp> *Ops,
-                const std::set<RegionVarId> &Scope) {
+                const RegionSet &Scope) {
     if (!Ops)
       return;
     for (const COp &Op : *Ops) {
@@ -187,7 +185,7 @@ private:
     }
   }
 
-  void visit(const RExpr *N, std::set<RegionVarId> Scope) {
+  void visit(const RExpr *N, RegionSet Scope) {
     Visited.insert(N->id());
     for (RegionVarId R : N->boundRegions())
       Scope.insert(R);
@@ -209,7 +207,7 @@ private:
       break;
     case RExpr::Kind::Letrec: {
       const auto *L = cast<RLetrecExpr>(N);
-      std::set<RegionVarId> BodyScope = Scope;
+      RegionSet BodyScope = Scope;
       for (RegionVarId F : L->formals())
         BodyScope.insert(F);
       visit(L->fnBody(), BodyScope);

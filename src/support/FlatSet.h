@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <initializer_list>
 #include <vector>
 
 namespace afl {
@@ -29,6 +30,9 @@ public:
 
   FlatSet() = default;
 
+  /// The set of \p Init's elements, given in any order.
+  FlatSet(std::initializer_list<T> Init) : V(Init) { sortUnique(); }
+
   /// Wraps an already-sorted, duplicate-free vector without re-checking
   /// in release builds.
   static FlatSet fromSorted(std::vector<T> Sorted) {
@@ -37,6 +41,15 @@ public:
            "fromSorted requires a strictly ascending vector");
     FlatSet S;
     S.V = std::move(Sorted);
+    return S;
+  }
+
+  /// Sorts and deduplicates \p Values: the cheap way to build a set from
+  /// many out-of-order inserts.
+  static FlatSet fromUnsorted(std::vector<T> Values) {
+    FlatSet S;
+    S.V = std::move(Values);
+    S.sortUnique();
     return S;
   }
 
@@ -62,6 +75,15 @@ public:
 
   /// Inserts \p X; true if it was not present.
   bool insert(const T &X) { return insertPos(X).second; }
+
+  /// Removes \p X; true if it was present.
+  bool erase(const T &X) {
+    size_t Pos = indexOf(X);
+    if (Pos == npos)
+      return false;
+    V.erase(V.begin() + static_cast<std::ptrdiff_t>(Pos));
+    return true;
+  }
 
   bool contains(const T &X) const { return indexOf(X) != npos; }
   size_t count(const T &X) const { return contains(X) ? 1 : 0; }
@@ -102,6 +124,11 @@ public:
   bool operator<(const FlatSet &O) const { return V < O.V; }
 
 private:
+  void sortUnique() {
+    std::sort(V.begin(), V.end());
+    V.erase(std::unique(V.begin(), V.end()), V.end());
+  }
+
   std::vector<T> V;
 };
 

@@ -6,6 +6,14 @@
 
 #include <gtest/gtest.h>
 
+namespace afl::programs {
+// Print a corpus entry by name. gtest appends the printed parameter to
+// each test's listed name, and ctest discovery bakes that into the test
+// name; the default byte dump would embed heap addresses that change on
+// every run.
+static void PrintTo(const BenchProgram &P, std::ostream *OS) { *OS << P.Name; }
+} // namespace afl::programs
+
 using namespace afl;
 
 namespace {

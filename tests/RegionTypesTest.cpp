@@ -55,7 +55,7 @@ TEST(EffectSets, TransitiveRegionResolution) {
 
   EffectSet Probe;
   Probe.EffectVars.insert(E1);
-  std::set<RegionVarId> Rs = T.regionsOf(Probe);
+  RegionSet Rs = T.regionsOf(Probe);
   EXPECT_EQ(Rs.size(), 1u);
   EXPECT_TRUE(Rs.count(R));
 }
@@ -73,7 +73,7 @@ TEST(EffectSets, CyclicEffectVarsTerminate) {
   T.addToEffectVar(E2, S2);
   EffectSet Probe;
   Probe.EffectVars.insert(E1);
-  std::set<RegionVarId> Rs = T.regionsOf(Probe);
+  RegionSet Rs = T.regionsOf(Probe);
   EXPECT_TRUE(Rs.count(R));
 }
 
@@ -84,7 +84,7 @@ TEST(RegionTypes, FreshFromTypeDecoratesEverything) {
   RTypeTable T;
   RTypeId Mu = T.freshFromType(ML, Arrow);
   EXPECT_EQ(T.kind(Mu), RTypeKind::Arrow);
-  std::set<RegionVarId> Frv;
+  RegionSet Frv;
   T.freeRegionVars(Mu, Frv);
   // arrow box, int param, pair box, bool, list spine, list elem = 6.
   EXPECT_EQ(Frv.size(), 6u);
@@ -148,7 +148,7 @@ TEST(RegionTypes, InstantiateMapsLatentEffects) {
 
   EffectSet Probe;
   Probe.EffectVars.insert(T.arrowEffect(Inst));
-  std::set<RegionVarId> Rs = T.regionsOf(Probe);
+  RegionSet Rs = T.regionsOf(Probe);
   EXPECT_TRUE(Rs.count(FreshParam));
   EXPECT_FALSE(Rs.count(ParamR));
 }

@@ -537,6 +537,65 @@ TEST(ServerIncrementality, WarmEditDirtiesFewerContexts) {
 }
 
 //===----------------------------------------------------------------------===//
+// Function-body edits: a break whose parent is a lambda or letrec and that
+// replaces the function body itself takes the full tier. Body contexts are
+// registered by the call sites, not by the parent, so a seeded restart
+// from the parent would leave the new body unanalyzed.
+//===----------------------------------------------------------------------===//
+
+/// The raw `result` object of a `query` response, byte for byte.
+std::string queryResult(driver::Session &S, int64_t DocId,
+                        const std::string &What) {
+  std::string Response = S.handleLine(
+      "{\"method\":\"query\",\"params\":{\"doc\":" + std::to_string(DocId) +
+      ",\"what\":\"" + What + "\"}}");
+  size_t Begin = Response.find("\"result\":");
+  size_t End = Response.rfind(",\"timings\":{");
+  EXPECT_NE(Begin, std::string::npos) << Response;
+  EXPECT_NE(End, std::string::npos) << Response;
+  if (Begin == std::string::npos || End == std::string::npos || End < Begin)
+    return "";
+  return Response.substr(Begin, End - Begin);
+}
+
+/// Opens \p Source, replaces its function-body literal `45` by `(45 + 3)`,
+/// and checks that the edit answers ok on the full tier with the same
+/// report and domains as a fresh open of the edited text.
+void expectFunctionBodyEditIsFull(const std::string &Source) {
+  driver::Session S;
+  int64_t Doc = -1;
+  ASSERT_TRUE(okOf(openDoc(S, Source, &Doc))) << Source;
+  size_t Pos = Source.find("45");
+  ASSERT_NE(Pos, std::string::npos);
+  const std::string Replacement = "(45 + 3)";
+  json::Value E =
+      call(S, "{\"method\":\"edit\",\"params\":{\"doc\":" +
+                  std::to_string(Doc) + ",\"start\":" + std::to_string(Pos) +
+                  ",\"length\":2,\"text\":" + jquote(Replacement) + "}}");
+  ASSERT_TRUE(okOf(E)) << Source;
+  const json::Value *Tier = dig(E, {"result", "tier"});
+  ASSERT_NE(Tier, nullptr) << Source;
+  EXPECT_EQ(Tier->asString(), "full") << Source;
+
+  std::string Text = Source;
+  Text.replace(Pos, 2, Replacement);
+  int64_t Fresh = -1;
+  ASSERT_TRUE(okOf(openDoc(S, Text, &Fresh))) << Text;
+  for (const char *What : {"report", "domains"})
+    EXPECT_EQ(queryResult(S, Doc, What), queryResult(S, Fresh, What))
+        << Text << ": " << What;
+  expectMatchesOracle(S, Doc, Text, Text);
+}
+
+TEST(ServerIncrementality, LambdaBodyEditTakesFullTier) {
+  expectFunctionBodyEditIsFull("(fn x => 45) 3");
+}
+
+TEST(ServerIncrementality, LetrecBodyEditTakesFullTier) {
+  expectFunctionBodyEditIsFull("letrec f n = 45 in f 1 end");
+}
+
+//===----------------------------------------------------------------------===//
 // The JSON reader itself.
 //===----------------------------------------------------------------------===//
 

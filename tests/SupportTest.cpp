@@ -465,6 +465,17 @@ TEST(FlatSet, FromSortedWraps) {
   EXPECT_TRUE(S.contains(4));
 }
 
+TEST(FlatSet, BuildsFromUnsortedAndErases) {
+  FlatSet<uint32_t> S{9, 1, 5, 1};
+  ASSERT_EQ(S.size(), 3u);
+  EXPECT_EQ(S[0], 1u);
+  EXPECT_EQ(S[2], 9u);
+  EXPECT_EQ(FlatSet<uint32_t>::fromUnsorted({5, 9, 1, 9}), S);
+  EXPECT_TRUE(S.erase(5));
+  EXPECT_FALSE(S.erase(5));
+  EXPECT_EQ(S, (FlatSet<uint32_t>{1, 9}));
+}
+
 TEST(SetInterner, EmptyIsIdZero) {
   SetInterner<uint32_t> I;
   EXPECT_EQ(I.intern(FlatSet<uint32_t>()), SetInterner<uint32_t>::Empty);

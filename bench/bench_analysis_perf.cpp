@@ -269,21 +269,16 @@ BENCHMARK(BM_ConstraintGen)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
 /// regenerated every iteration, so the measurement includes the
 /// incremental union-find tracking and the shard finalization that the
 /// sharded solve path consumes (no component discovery at solve time).
-/// Compare against BM_CongenMonolithic — same generation, but the solve
-/// ignores the shards and runs the monolithic simplify+count path.
-void congenSeries(benchmark::State &State, bool UseShards) {
+void BM_CongenSharded(benchmark::State &State) {
   std::string Src = chainProgram(static_cast<int>(State.range(0)));
   auto F = frontend(Src);
   auto Prog = regions::inferRegions(F->Ast, F->Ctx, F->Typed, F->Diags);
   closure::ClosureAnalysis CA(*Prog);
   CA.run();
-  solver::SolveOptions Options;
-  Options.Jobs = 1;
-  Options.UseShards = UseShards;
   size_t Shards = 0, Largest = 0;
   for (auto _ : State) {
     constraints::GenResult Gen = constraints::generateConstraints(*Prog, CA);
-    solver::SolveResult Sol = solver::solve(Gen.Sys, Options);
+    solver::SolveResult Sol = solver::solve(Gen.Sys);
     benchmark::DoNotOptimize(Sol.Sat);
     Shards = Gen.Sharding.Shards;
     Largest = Gen.Sharding.LargestShardConstraints;
@@ -291,16 +286,7 @@ void congenSeries(benchmark::State &State, bool UseShards) {
   State.counters["shards"] = static_cast<double>(Shards);
   State.counters["largest_shard"] = static_cast<double>(Largest);
 }
-
-void BM_CongenSharded(benchmark::State &State) {
-  congenSeries(State, /*UseShards=*/true);
-}
 BENCHMARK(BM_CongenSharded)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
-
-void BM_CongenMonolithic(benchmark::State &State) {
-  congenSeries(State, /*UseShards=*/false);
-}
-BENCHMARK(BM_CongenMonolithic)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
 
 void BM_ConstraintGenAndSolve(benchmark::State &State) {
   std::string Src = chainProgram(static_cast<int>(State.range(0)));
@@ -318,10 +304,9 @@ void BM_ConstraintGenAndSolve(benchmark::State &State) {
 BENCHMARK(BM_ConstraintGenAndSolve)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
 /// Solve-stage series: the same generated constraint system solved raw
-/// (the pre-simplification §4.3 solver), with preprocessing, and with
-/// preprocessing + parallel per-component solving. Prints a one-shot
-/// constraint reduction-ratio report line and surfaces the graph sizes
-/// as counters.
+/// (the §4.3 oracle on the unsimplified system) and on the production
+/// path (per-shard simplification). Prints a one-shot constraint
+/// reduction-ratio report line and surfaces the graph sizes as counters.
 void solveSeries(benchmark::State &State,
                  const solver::SolveOptions &Options) {
   std::string Src = chainProgram(static_cast<int>(State.range(0)));
@@ -369,55 +354,9 @@ void BM_SolveRaw(benchmark::State &State) {
 BENCHMARK(BM_SolveRaw)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
 
 void BM_SolveSimplified(benchmark::State &State) {
-  solver::SolveOptions Options;
-  Options.Jobs = 1; // preprocessing only; components solved sequentially
-  solveSeries(State, Options);
+  solveSeries(State, solver::SolveOptions());
 }
 BENCHMARK(BM_SolveSimplified)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
-
-void BM_SolveSimplifiedParallel(benchmark::State &State) {
-  solver::SolveOptions Options;
-  Options.Jobs = 0;                  // all hardware threads
-  Options.ParallelMinConstraints = 0; // measure the pool even when small
-  solveSeries(State, Options);
-}
-BENCHMARK(BM_SolveSimplifiedParallel)
-    ->Arg(8)
-    ->Arg(16)
-    ->Arg(32)
-    ->Arg(48)
-    ->UseRealTime();
-
-// Packed bitvector domains (the default, 21 three-bit state lanes and
-// 32 two-bit boolean lanes per 64-bit word) vs the byte-per-variable
-// oracle representation (`aflc --no-packed-domains`). Same sequential
-// simplified solve either side; the pair is the before/after series of
-// BENCH_solver.json.
-void BM_SolvePacked(benchmark::State &State) {
-  solver::SolveOptions Options;
-  Options.Jobs = 1;
-  Options.PackedDomains = true;
-  solveSeries(State, Options);
-}
-BENCHMARK(BM_SolvePacked)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
-
-void BM_SolveByteDomains(benchmark::State &State) {
-  solver::SolveOptions Options;
-  Options.Jobs = 1;
-  Options.PackedDomains = false;
-  solveSeries(State, Options);
-}
-BENCHMARK(BM_SolveByteDomains)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
-
-// The raw (unsimplified) solve scans full-size domain arrays every
-// iteration, so it shows the representation effect at its largest.
-void BM_SolveRawByteDomains(benchmark::State &State) {
-  solver::SolveOptions Options;
-  Options.Simplify = false;
-  Options.PackedDomains = false;
-  solveSeries(State, Options);
-}
-BENCHMARK(BM_SolveRawByteDomains)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
 
 /// Instrumented-run stage under one backend: a scaled builtin program is
 /// analyzed once (A-F-L completion), then executed repeatedly. Family 0

@@ -22,8 +22,8 @@
 /// components of the constraint graph are already known. `numShards()` /
 /// `shardConstraints()` / `shardStates()` / `shardBools()` expose them as
 /// CSR-backed shards with deterministic numbering (ascending smallest
-/// member state variable — the same order `solver::splitComponents`
-/// assigns), letting the solver skip its own component-discovery pass.
+/// member state variable), letting the solver skip its own
+/// component-discovery pass.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,33 +68,19 @@ struct Constraint {
   BoolVarId B = 0; // triples only
 };
 
-/// Variable store + constraint list + occurrence index.
+/// Variable store + constraint list + emission-time shard index.
 class ConstraintSystem {
 public:
   StateVarId newState(uint8_t Domain = StAny) {
     StateDom.push_back(Domain);
-    if (Tracking)
-      Uf.push_back(-1);
+    Uf.push_back(-1);
     return static_cast<StateVarId>(StateDom.size() - 1);
   }
 
   BoolVarId newBool(uint8_t Domain = BAny) {
     BoolDom.push_back(Domain);
-    if (Tracking)
-      BFirst.push_back(NoVar);
+    BFirst.push_back(NoVar);
     return static_cast<BoolVarId>(BoolDom.size() - 1);
-  }
-
-  /// Turns off the emission-time union-find. For solver-internal systems
-  /// (simplification residuals, materialized components) that are solved
-  /// directly and never asked for shards, maintaining connectivity is
-  /// pure overhead on every addConstraint. The shard API still works on
-  /// such a system: ensureShards rebuilds the union-find from the
-  /// constraint list in one batch pass. Call before populating.
-  void disableConnectivityTracking() {
-    Tracking = false;
-    BFirst.clear();
-    Uf.clear();
   }
 
   void addEq(StateVarId S1, StateVarId S2) {
@@ -118,8 +104,8 @@ public:
   size_t numBoolVars() const { return BoolDom.size(); }
   size_t numConstraints() const { return Cons.size(); }
 
-  /// Number of constraints of one kind (e.g. the solver preprocessing
-  /// proof obligation: zero `Eq` constraints post-simplification).
+  /// Number of constraints of one kind (e.g. the `Eq` count the solver's
+  /// preprocessing must remove).
   size_t numConstraintsOfKind(Constraint::Kind K) const {
     size_t N = 0;
     for (const Constraint &C : Cons)
@@ -127,8 +113,7 @@ public:
     return N;
   }
 
-  /// Contiguous view of one variable's occurrence list (ascending
-  /// constraint indices).
+  /// Contiguous view of one CSR row of the shard index (ascending ids).
   struct OccRange {
     const uint32_t *B = nullptr, *E = nullptr;
     const uint32_t *begin() const { return B; }
@@ -136,27 +121,9 @@ public:
     size_t size() const { return static_cast<size_t>(E - B); }
   };
 
-  /// Constraints mentioning state variable \p S. The index is CSR-shaped
-  /// (one flat offset array + one flat data array) and built lazily on
-  /// first access: generation only appends constraints and never pays for
-  /// it, and building it once afterwards is two linear passes — the
-  /// per-variable vector-of-vectors it replaces made `addConstraint` the
-  /// generation hot spot via hundreds of thousands of small allocations.
-  OccRange stateOcc(StateVarId S) const {
-    ensureOcc();
-    return {SOccData.data() + SOccStart[S], SOccData.data() + SOccStart[S + 1]};
-  }
-
-  /// Constraints mentioning boolean variable \p B (triples only).
-  OccRange boolOcc(BoolVarId V) const {
-    ensureOcc();
-    return {BOccData.data() + BOccStart[V], BOccData.data() + BOccStart[V + 1]};
-  }
-
   /// Number of connected components ("shards") of the constraint graph.
-  /// Shards are numbered by their smallest state variable, ascending —
-  /// the numbering `solver::splitComponents` would assign. Variables that
-  /// occur in no constraint belong to no shard.
+  /// Shards are numbered by their smallest state variable, ascending.
+  /// Variables that occur in no constraint belong to no shard.
   size_t numShards() const {
     ensureShards();
     return NumShards;
@@ -207,8 +174,7 @@ private:
 
   void addConstraint(Constraint C) {
     Cons.push_back(C);
-    if (Tracking)
-      trackConstraint(C);
+    trackConstraint(C);
   }
 
   /// Incremental connectivity: merge the constraint's endpoints now, so
@@ -264,58 +230,17 @@ private:
     Uf[B] = static_cast<int32_t>(A);
   }
 
-  void ensureOcc() const {
-    if (OccConsBuilt == Cons.size() &&
-        SOccStart.size() == StateDom.size() + 1 &&
-        BOccStart.size() == BoolDom.size() + 1)
-      return;
-    SOccStart.assign(StateDom.size() + 1, 0);
-    BOccStart.assign(BoolDom.size() + 1, 0);
-    for (const Constraint &C : Cons) {
-      ++SOccStart[C.S1 + 1];
-      ++SOccStart[C.S2 + 1];
-      if (C.K != Constraint::Kind::Eq)
-        ++BOccStart[C.B + 1];
-    }
-    for (size_t I = 1; I < SOccStart.size(); ++I)
-      SOccStart[I] += SOccStart[I - 1];
-    for (size_t I = 1; I < BOccStart.size(); ++I)
-      BOccStart[I] += BOccStart[I - 1];
-    SOccData.resize(SOccStart.back());
-    BOccData.resize(BOccStart.back());
-    // Fill with a moving cursor per variable; iterating constraints in
-    // index order keeps each list ascending — the same order the old
-    // per-variable push_back produced.
-    std::vector<uint32_t> SCur(SOccStart.begin(), SOccStart.end() - 1);
-    std::vector<uint32_t> BCur(BOccStart.begin(), BOccStart.end() - 1);
-    for (uint32_t Idx = 0; Idx != Cons.size(); ++Idx) {
-      const Constraint &C = Cons[Idx];
-      SOccData[SCur[C.S1]++] = Idx;
-      SOccData[SCur[C.S2]++] = Idx;
-      if (C.K != Constraint::Kind::Eq)
-        BOccData[BCur[C.B]++] = Idx;
-    }
-    OccConsBuilt = Cons.size();
-  }
-
   /// Finalizes the union-find into CSR shard tables. Pure renumbering:
   /// scan state variables ascending and number each root at its first
   /// occurrence (= numbering by smallest member state variable; every
   /// constraint mentions a state variable, so every shard has one), then
-  /// bucket variables and constraints by shard. For untracked systems the
-  /// union-find is first rebuilt in one batch pass over the constraint
-  /// list. Lazy and cached like the occurrence index.
+  /// bucket variables and constraints by shard. Lazy and cached: rebuilt
+  /// only if variables or constraints were added since.
   void ensureShards() const {
     if (ShardsConsBuilt == Cons.size() && ShardSCount == StateDom.size() &&
         ShardBCount == BoolDom.size())
       return;
     const size_t NS = StateDom.size(), NB = BoolDom.size();
-    if (!Tracking) {
-      BFirst.assign(NB, NoVar);
-      Uf.assign(NS, -1);
-      for (const Constraint &C : Cons)
-        trackConstraint(C);
-    }
 
     // Memoize each variable's shard so the counting and filling passes
     // below are straight array reads. A state variable whose union-find
@@ -380,16 +305,10 @@ private:
     ShardBCount = BoolDom.size();
   }
 
-  mutable std::vector<uint32_t> SOccStart, SOccData;
-  mutable std::vector<uint32_t> BOccStart, BOccData;
-  mutable size_t OccConsBuilt = static_cast<size_t>(-1);
-
   /// Emission-time union-find over the state variable ids, maintained in
-  /// addConstraint while Tracking (rebuilt inside ensureShards
-  /// otherwise). BFirst maps each boolean to the endpoint of its first
+  /// addConstraint. BFirst maps each boolean to the endpoint of its first
   /// triple (NoVar until seen). find() path-halves, so everything is
   /// mutable.
-  bool Tracking = true;
   mutable std::vector<uint32_t> BFirst;
   mutable std::vector<int32_t> Uf;
 

@@ -128,10 +128,7 @@ void driver::recordPipelineMetrics(MetricsRegistry &Reg,
         Reg.set("bools_forced", Simp.BoolsForced);
         Reg.set("components", Simp.Components);
         Reg.set("largest_component", Simp.LargestComponent);
-        Reg.set("threads", Simp.ThreadsUsed);
         Reg.addTime("simplify_seconds", Simp.SimplifySeconds);
-        Reg.addTime("components_seconds", Simp.ComponentSeconds);
-        Reg.addTime("reconstruct_seconds", Simp.ReconstructSeconds);
       }
     }
     Stage("extract", Stats.ExtractSeconds);
@@ -248,10 +245,11 @@ std::string driver::formatTimings(const PipelineStats &Stats,
   if (Simp.ConstraintsBefore) {
     std::snprintf(Buf, sizeof(Buf),
                   "simplify: %zu vars -> %zu, %zu constraints -> %zu, "
-                  "%zu component(s), %zu thread(s)\n",
+                  "%zu component(s) (largest %zu), %.3f ms\n",
                   Simp.StateVarsBefore, Simp.StateVarsAfter,
                   Simp.ConstraintsBefore, Simp.ConstraintsAfter,
-                  Simp.Components, Simp.ThreadsUsed);
+                  Simp.Components, Simp.LargestComponent,
+                  Simp.SimplifySeconds * 1e3);
     Out += Buf;
   }
   if (ArenaPool::globalEnabled()) {

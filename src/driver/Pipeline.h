@@ -38,8 +38,7 @@ struct PipelineOptions {
   bool SkipReference = false;
   /// Choice-point generation switches (ablations).
   constraints::GenOptions GenOptions;
-  /// Solver preprocessing switches (`aflc --no-simplify`,
-  /// `--solver-jobs N`).
+  /// Production solve or the raw oracle (`aflc --no-simplify`).
   solver::SolveOptions SolveOptions;
   /// Closure-analysis fixpoint mode and caps (`aflc --closure-restart`).
   closure::ClosureOptions ClosureOptions;

@@ -218,11 +218,14 @@ std::string Session::handleEdit(const json::Value &Params, StageTimings &T,
   }
   int64_t S = Start->asInt();
   int64_t L = Length->asInt();
-  if (S < 0 || L < 0 || static_cast<uint64_t>(S) > Doc->Text.size() ||
-      static_cast<uint64_t>(S + L) > Doc->Text.size()) {
-    Error = "edit span [" + std::to_string(S) + ", " + std::to_string(S + L) +
-            ") out of range for document of " +
-            std::to_string(Doc->Text.size()) + " bytes";
+  // Compare the length against the room left after the start: S + L
+  // could overflow.
+  const uint64_t Size = Doc->Text.size();
+  if (S < 0 || L < 0 || static_cast<uint64_t>(S) > Size ||
+      static_cast<uint64_t>(L) > Size - static_cast<uint64_t>(S)) {
+    Error = "edit span (start " + std::to_string(S) + ", length " +
+            std::to_string(L) + ") out of range for document of " +
+            std::to_string(Size) + " bytes";
     return "";
   }
   ++Stats.Edits;

@@ -1,6 +1,4 @@
-#include "solver/Simplify.h"
-
-#include "solver/Components.h"
+#include "solver/Workspace.h"
 
 #include <algorithm>
 #include <cassert>
@@ -20,46 +18,35 @@ void SimplifyStats::accumulate(const SimplifyStats &Other) {
   BoolsForced += Other.BoolsForced;
   Components += Other.Components;
   LargestComponent = std::max(LargestComponent, Other.LargestComponent);
-  ThreadsUsed = std::max(ThreadsUsed, Other.ThreadsUsed);
   SimplifySeconds += Other.SimplifySeconds;
-  ComponentSeconds += Other.ComponentSeconds;
-  ReconstructSeconds += Other.ReconstructSeconds;
 }
 
-namespace {
+bool solver::simplifyGroup(const ConstraintSystem &Sys, uint32_t KBegin,
+                           uint32_t KEnd, Workspace &W, SimplifyStats &Stats) {
+  constexpr uint32_t None = ~0u;
 
-/// The simplification pipeline over an abstract constraint stream. The
-/// caller describes a system of \p NS state variables (initial domains
-/// \p Dom) and \p NB booleans whose \p NumCons constraints are produced
-/// — already over local ids, in emission order — by \p ForEach(Visit).
-/// Shared by simplify() (the stream is Sys.Cons verbatim) and
-/// simplifyShard() (the stream is one shard's constraints, translated to
-/// shard-local ids on the fly), so both run the identical algorithm and
-/// produce bit-identical residuals for the same stream.
-template <typename ForEachCons>
-SimplifiedSystem simplifyCore(size_t NS, size_t NB, size_t NumCons,
-                              support::StateDomains Dom,
-                              ForEachCons &&ForEach) {
-  SimplifiedSystem Out;
-  Out.Stats.StateVarsBefore = NS;
-  Out.Stats.ConstraintsBefore = NumCons;
-  // The residual is solver-internal: solved directly, never sharded, so
-  // emission-time connectivity tracking would be pure overhead.
-  Out.Residual.disableConnectivityTracking();
-
-  // An empty *initial* domain is a conflict even if the variable occurs
-  // in no constraint (restrictState can zero a domain the propagator
-  // never visits). Word-at-a-time over the packed lanes.
-  if (Dom.hasZeroEntry()) {
-    Out.Conflict = true;
-    return Out;
+  // Group-local initial domains, member by member. The callers reject a
+  // system with an empty initial domain before any group runs, so every
+  // lane here is nonempty.
+  std::vector<uint8_t> &Dom = W.Dom;
+  Dom.clear();
+  size_t NB = 0, NumCons = 0;
+  for (uint32_t K = KBegin; K != KEnd; ++K) {
+    for (uint32_t S : Sys.shardStates(K))
+      Dom.push_back(Sys.StateDom.get(S));
+    NB += Sys.shardBools(K).size();
+    NumCons += Sys.shardConstraints(K).size();
   }
+  const uint32_t NS = static_cast<uint32_t>(Dom.size());
+  Stats.StateVarsBefore = NS;
+  Stats.ConstraintsBefore = NumCons;
 
   // Union-find over the state variables. Each root carries the class
   // domain (the intersection of the members' initial domains) and, in
   // phase 2, the list of triples touching the class.
-  std::vector<uint32_t> Parent(NS);
-  for (uint32_t I = 0; I != Parent.size(); ++I)
+  std::vector<uint32_t> &Parent = W.Parent;
+  Parent.resize(NS);
+  for (uint32_t I = 0; I != NS; ++I)
     Parent[I] = I;
   auto Find = [&Parent](uint32_t V) {
     while (Parent[V] != V) {
@@ -69,31 +56,37 @@ SimplifiedSystem simplifyCore(size_t NS, size_t NB, size_t NumCons,
     return V;
   };
 
-  // Phase 1: collapse every Eq constraint; collect the triples.
-  std::vector<Constraint> T;
-  T.reserve(NumCons);
-  bool EarlyConflict = false;
-  ForEach([&](const Constraint &C) {
-    if (EarlyConflict)
-      return;
-    if (C.K != Constraint::Kind::Eq) {
-      T.push_back(C);
-      return;
+  // Phase 1: collapse every Eq constraint; collect the triples in
+  // group-local ids. MemberTriples[M] is where member M's triples start.
+  std::vector<Constraint> &T = W.Triples;
+  T.clear();
+  std::vector<uint32_t> &BoolStart = W.BOccStart;
+  BoolStart.assign(NB + 1, 0);
+  W.MemberTriples.clear();
+  for (uint32_t K = KBegin; K != KEnd; ++K) {
+    W.MemberTriples.push_back(static_cast<uint32_t>(T.size()));
+    for (uint32_t CI : Sys.shardConstraints(K)) {
+      Constraint C = Sys.Cons[CI];
+      C.S1 = W.LocalState[C.S1];
+      C.S2 = W.LocalState[C.S2];
+      if (C.K != Constraint::Kind::Eq) {
+        C.B = W.LocalBool[C.B];
+        ++BoolStart[C.B + 1];
+        T.push_back(C);
+        continue;
+      }
+      ++Stats.EqRemoved;
+      uint32_t A = Find(C.S1), B = Find(C.S2);
+      if (A == B)
+        continue;
+      Parent[B] = A;
+      Dom[A] &= Dom[B];
+      if (Dom[A] == 0)
+        return false;
     }
-    ++Out.Stats.EqRemoved;
-    uint32_t A = Find(C.S1), B = Find(C.S2);
-    if (A == B)
-      return;
-    Parent[B] = A;
-    uint8_t Merged = Dom.get(A) & Dom.get(B);
-    Dom.set(A, Merged);
-    if (Merged == 0)
-      EarlyConflict = true;
-  });
-  if (EarlyConflict) {
-    Out.Conflict = true;
-    return Out;
   }
+  W.MemberTriples.push_back(static_cast<uint32_t>(T.size()));
+  uint8_t *const DomP = Dom.data();
 
   // Phase 2: apply forced booleans to a fixpoint, worklist-driven. A
   // triple is (re)examined when one of its endpoint classes merges or
@@ -103,11 +96,14 @@ SimplifiedSystem simplifyCore(size_t NS, size_t NB, size_t NumCons,
   // small-into-large, making the whole phase near-linear. A
   // forced-false triple is an equality (fed back into the union-find,
   // so collapses cascade).
-  const size_t NT = T.size();
-  // Byte flags, not vector<bool>: both are touched per worklist pop.
-  std::vector<uint8_t> Alive(NT, 1), InQ(NT, 0);
-  std::vector<uint32_t> Queue;
-  Queue.reserve(NT);
+  const uint32_t NT = static_cast<uint32_t>(T.size());
+  W.Alive.assign(NT, 1);
+  W.InQueue.assign(NT, 0);
+  // Byte stores may alias anything: work through raw pointers so the
+  // loops below need not reload the vectors' storage after each one.
+  uint8_t *const Alive = W.Alive.data(), *const InQ = W.InQueue.data();
+  std::vector<uint32_t> &Queue = W.Queue;
+  Queue.clear();
   size_t QHead = 0;
   auto Enqueue = [&](uint32_t TI) {
     if (Alive[TI] && !InQ[TI]) {
@@ -116,38 +112,32 @@ SimplifiedSystem simplifyCore(size_t NS, size_t NB, size_t NumCons,
     }
   };
 
-  constexpr uint32_t None = ~0u;
-
   // Boolean -> incident triples, CSR-shaped in ascending triple order
-  // (the order the occurrence index would report).
-  std::vector<uint32_t> BoolStart(NB + 1, 0);
-  for (const Constraint &C : T)
-    ++BoolStart[C.B + 1];
-  for (size_t I = 1; I < BoolStart.size(); ++I)
+  // (counted in phase 1). Filled with BoolStart[B] as B's cursor, then
+  // the cursors (each at the next list's start) shift up one slot.
+  for (size_t I = 1; I <= NB; ++I)
     BoolStart[I] += BoolStart[I - 1];
-  std::vector<uint32_t> BoolTriples(NT);
-  {
-    std::vector<uint32_t> Cur(BoolStart.begin(), BoolStart.end() - 1);
-    for (uint32_t TI = 0; TI != NT; ++TI)
-      BoolTriples[Cur[T[TI].B]++] = TI;
-  }
+  std::vector<uint32_t> &BoolTriples = W.BOccData;
+  BoolTriples.resize(NT);
+  for (uint32_t TI = 0; TI != NT; ++TI)
+    BoolTriples[BoolStart[T[TI].B]++] = TI;
+  BoolStart.insert(BoolStart.begin(), 0);
+  BoolStart.pop_back();
 
-  // Per-root incident triple lists (post-Eq roots): Head/Tail/Count per
-  // root, nodes preallocated (at most two incidences per triple).
-  std::vector<uint32_t> Head(NS, None);
-  std::vector<uint32_t> Tail(NS, None);
-  std::vector<uint32_t> Count(NS, 0);
-  std::vector<uint32_t> NodeTriple, NodeNext;
-  NodeTriple.reserve(2 * NT);
-  NodeNext.reserve(2 * NT);
+  // Per-root incident triple lists (post-Eq roots), nodes pooled (at
+  // most two incidences per triple).
+  std::vector<Workspace::ClassList> &Lists = W.Lists;
+  std::vector<Workspace::Node> &Nodes = W.Nodes;
+  Lists.assign(NS, {None, None, 0});
+  Nodes.clear();
   auto AddIncidence = [&](uint32_t R, uint32_t TI) {
-    uint32_t N = static_cast<uint32_t>(NodeTriple.size());
-    NodeTriple.push_back(TI);
-    NodeNext.push_back(Head[R]);
-    Head[R] = N;
-    if (Tail[R] == None)
-      Tail[R] = N;
-    ++Count[R];
+    Workspace::ClassList &L = Lists[R];
+    uint32_t N = static_cast<uint32_t>(Nodes.size());
+    Nodes.push_back({TI, L.Head});
+    L.Head = N;
+    if (L.Tail == None)
+      L.Tail = N;
+    ++L.Count;
   };
   for (uint32_t TI = 0; TI != NT; ++TI) {
     const Constraint &C = T[TI];
@@ -157,8 +147,8 @@ SimplifiedSystem simplifyCore(size_t NS, size_t NB, size_t NumCons,
       AddIncidence(R2, TI);
   }
   auto EnqueueClass = [&](uint32_t R) {
-    for (uint32_t N = Head[R]; N != None; N = NodeNext[N])
-      Enqueue(NodeTriple[N]);
+    for (uint32_t N = Lists[R].Head; N != None; N = Nodes[N].Next)
+      Enqueue(Nodes[N].Triple);
   };
 
   bool Conflict = false;
@@ -171,36 +161,35 @@ SimplifiedSystem simplifyCore(size_t NS, size_t NB, size_t NumCons,
     B = Find(B);
     if (A == B)
       return;
-    if (Count[A] < Count[B])
+    if (Lists[A].Count < Lists[B].Count)
       std::swap(A, B);
     Parent[B] = A;
-    uint8_t NewDom = Dom.get(A) & Dom.get(B);
-    if (NewDom != Dom.get(A))
+    uint8_t NewDom = DomP[A] & DomP[B];
+    if (NewDom != DomP[A])
       EnqueueClass(A);
     EnqueueClass(B);
-    Dom.set(A, NewDom);
+    DomP[A] = NewDom;
     if (NewDom == 0) {
       Conflict = true;
       return;
     }
-    if (Head[B] != None) {
-      if (Head[A] == None) {
-        Head[A] = Head[B];
-      } else {
-        NodeNext[Tail[A]] = Head[B];
-      }
-      Tail[A] = Tail[B];
-      Count[A] += Count[B];
-      Head[B] = Tail[B] = None;
-      Count[B] = 0;
+    Workspace::ClassList &LA = Lists[A], &LB = Lists[B];
+    if (LB.Head != None) {
+      if (LA.Head == None)
+        LA.Head = LB.Head;
+      else
+        Nodes[LA.Tail].Next = LB.Head;
+      LA.Tail = LB.Tail;
+      LA.Count += LB.Count;
+      LB = {None, None, 0};
     }
   };
   auto Restrict = [&](uint32_t R, uint8_t Mask) {
     R = Find(R);
-    uint8_t NewDom = Dom.get(R) & Mask;
-    if (NewDom == Dom.get(R))
+    uint8_t NewDom = DomP[R] & Mask;
+    if (NewDom == DomP[R])
       return;
-    Dom.set(R, NewDom);
+    DomP[R] = NewDom;
     if (NewDom == 0) {
       Conflict = true;
       return;
@@ -208,11 +197,14 @@ SimplifiedSystem simplifyCore(size_t NS, size_t NB, size_t NumCons,
     EnqueueClass(R);
   };
 
-  support::BoolDomains BD(NB, BAny);
+  // The residual's boolean lanes, in group-local ids: forced values
+  // stay as singleton domains.
+  W.BD.assign(NB, BAny);
+  uint8_t *const BD = W.BD.data();
   auto ForceBool = [&](BoolVarId B, uint8_t Value) {
-    assert(BD.get(B) == BAny);
-    BD.set(B, Value);
-    ++Out.Stats.BoolsForced;
+    assert(BD[B] == BAny);
+    BD[B] = Value;
+    ++Stats.BoolsForced;
     for (uint32_t I = BoolStart[B]; I != BoolStart[B + 1]; ++I)
       Enqueue(BoolTriples[I]);
   };
@@ -221,7 +213,7 @@ SimplifiedSystem simplifyCore(size_t NS, size_t NB, size_t NumCons,
     Enqueue(TI);
   while (QHead != Queue.size() && !Conflict) {
     uint32_t TI = Queue[QHead++];
-    InQ[TI] = false;
+    InQ[TI] = 0;
     if (!Alive[TI])
       continue;
     const Constraint &C = T[TI];
@@ -229,40 +221,40 @@ SimplifiedSystem simplifyCore(size_t NS, size_t NB, size_t NumCons,
     const uint8_t From = IsAlloc ? StU : StA;
     const uint8_t To = IsAlloc ? StA : StD;
     uint32_t R1 = Find(C.S1), R2 = Find(C.S2);
-    if (BD.get(C.B) == BTrue) {
+    if (BD[C.B] == BTrue) {
       // Checked before the R1 == R2 case: a true boolean on a
       // same-representative triple empties the domain below (From and
       // To are disjoint), which is the correct conflict.
-      Alive[TI] = false;
-      ++Out.Stats.ForcedTriplesRemoved;
+      Alive[TI] = 0;
+      ++Stats.ForcedTriplesRemoved;
       Restrict(R1, From);
       if (!Conflict)
         Restrict(R2, To);
       continue;
     }
-    if (BD.get(C.B) == BFalse || R1 == R2) {
+    if (BD[C.B] == BFalse || R1 == R2) {
       // ¬b → s1 = s2. With s1 and s2 already one variable the
       // transition is impossible, so b is false either way.
-      Alive[TI] = false;
-      ++Out.Stats.ForcedTriplesRemoved;
-      if (BD.get(C.B) == BAny)
+      Alive[TI] = 0;
+      ++Stats.ForcedTriplesRemoved;
+      if (BD[C.B] == BAny)
         ForceBool(C.B, BFalse);
       Merge(R1, R2);
       continue;
     }
-    uint8_t D1 = Dom.get(R1), D2 = Dom.get(R2);
+    uint8_t D1 = DomP[R1], D2 = DomP[R2];
     if (!(D1 & From) || !(D2 & To)) {
       // The transition states are unreachable: b must be false.
-      Alive[TI] = false;
-      ++Out.Stats.ForcedTriplesRemoved;
+      Alive[TI] = 0;
+      ++Stats.ForcedTriplesRemoved;
       ForceBool(C.B, BFalse);
       Merge(R1, R2);
       continue;
     }
     if ((D1 & D2) == 0) {
       // s1 = s2 is impossible: b must be true.
-      Alive[TI] = false;
-      ++Out.Stats.ForcedTriplesRemoved;
+      Alive[TI] = 0;
+      ++Stats.ForcedTriplesRemoved;
       ForceBool(C.B, BTrue);
       Restrict(R1, From);
       if (!Conflict)
@@ -270,136 +262,80 @@ SimplifiedSystem simplifyCore(size_t NS, size_t NB, size_t NumCons,
       continue;
     }
   }
-  if (Conflict) {
-    Out.Conflict = true;
-    return Out;
-  }
+  if (Conflict)
+    return false;
 
   // Phase 3: number the representatives (ascending order of the
-  // smallest class member, so relative variable order is preserved) and
-  // record the original -> representative mapping.
-  std::vector<uint32_t> RepId(NS, None);
-  Out.StateRep.resize(NS);
-  ConstraintSystem &Res = Out.Residual;
+  // smallest class member, so relative variable order is preserved),
+  // load their domains, and record the local -> representative map. A
+  // root's own slot holds its class's number from the class's first
+  // member on.
+  std::vector<uint32_t> &StateRep = W.StateRep;
+  StateRep.assign(NS, None);
+  W.SD.clear();
   for (uint32_t V = 0; V != NS; ++V) {
     uint32_t Root = Find(V);
-    if (RepId[Root] == None)
-      RepId[Root] = Res.newState(Dom.get(Root));
-    Out.StateRep[V] = RepId[Root];
+    if (StateRep[Root] == None) {
+      StateRep[Root] = static_cast<uint32_t>(W.SD.size());
+      W.SD.push_back(DomP[Root]);
+    }
+    StateRep[V] = StateRep[Root];
   }
 
-  // Boolean ids survive unchanged; forced values become singleton
-  // initial domains.
-  Res.BoolDom = std::move(BD);
-
-  // Phase 4: emit the surviving triples, deduplicating identical ones
-  // with a flat open-addressing table (keys are nonzero: at fixpoint no
-  // live triple has equal representatives, so the zero key — equal
-  // representatives 0, boolean 0, dealloc kind — cannot arise and
-  // serves as the empty marker). The kept copy takes the *last*
-  // occurrence's position: the solver's candidate stacks pop from the
-  // back, so of two identical triples the later one is considered first
-  // — preserving that position keeps the choice order (and therefore
-  // the solution) bit-identical to the raw solver's.
-  size_t TableCap = 16;
-  while (TableCap < 2 * NT)
-    TableCap <<= 1;
-  std::vector<uint64_t> Table(TableCap, 0);
-  auto InsertKey = [&](uint64_t Key) {
-    const size_t Mask = TableCap - 1;
-    size_t H = (Key * 0x9E3779B97F4A7C15ull >> 32) & Mask;
-    for (;;) {
-      uint64_t E = Table[H];
-      if (E == 0) {
-        Table[H] = Key;
-        return true;
-      }
-      if (E == Key)
-        return false;
-      H = (H + 1) & Mask;
-    }
-  };
-  std::vector<uint32_t> Kept;
-  Kept.reserve(NT);
-  for (size_t TI = NT; TI-- > 0;) {
+  // Phase 4: drop identical surviving triples. The kept copy takes the
+  // *last* occurrence's position: the solver's candidate stacks pop
+  // from the back, so of two identical triples the later one is
+  // considered first — preserving that position keeps the choice order
+  // (and therefore the solution) bit-identical to the raw solver's. The
+  // open-addressing table holds triple index + 1 (0 = empty) and
+  // compares whole triples, so distinct triples never collide however
+  // large the ids grow.
+  size_t Cap = 16;
+  while (Cap < 2 * size_t(NT))
+    Cap <<= 1;
+  const size_t Mask = Cap - 1;
+  std::vector<uint32_t> &Table = W.DedupTable;
+  Table.assign(Cap, 0);
+  for (uint32_t TI = NT; TI-- > 0;) {
     if (!Alive[TI])
       continue;
     const Constraint &C = T[TI];
-    uint32_t R1 = Out.StateRep[C.S1];
-    uint32_t R2 = Out.StateRep[C.S2];
+    const uint32_t R1 = StateRep[C.S1], R2 = StateRep[C.S2];
     assert(R1 != R2 && "live triple with equal representatives");
-    // Pack (kind, s1, s2, b): ids are dense and < 2^21 in any system
-    // this repo generates.
-    uint64_t Key = (static_cast<uint64_t>(C.K == Constraint::Kind::AllocTriple)
-                    << 63) |
-                   (static_cast<uint64_t>(R1) << 42) |
-                   (static_cast<uint64_t>(R2) << 21) |
-                   static_cast<uint64_t>(C.B);
-    if (InsertKey(Key))
-      Kept.push_back(static_cast<uint32_t>(TI));
-    else
-      ++Out.Stats.DupTriplesRemoved;
-  }
-  std::reverse(Kept.begin(), Kept.end());
-
-  Res.Cons.reserve(Kept.size());
-  for (uint32_t TI : Kept) {
-    const Constraint &C = T[TI];
-    if (C.K == Constraint::Kind::AllocTriple)
-      Res.addAllocTriple(Out.StateRep[C.S1], C.B, Out.StateRep[C.S2]);
-    else
-      Res.addDeallocTriple(Out.StateRep[C.S1], C.B, Out.StateRep[C.S2]);
+    uint64_t H = (uint64_t(R1) << 32 | R2) * 0x9E3779B97F4A7C15ull;
+    H ^= (uint64_t(C.B) << 1 | (C.K == Constraint::Kind::AllocTriple)) *
+         0xC2B2AE3D27D4EB4Full;
+    for (size_t Slot = (H ^ H >> 32) & Mask;; Slot = (Slot + 1) & Mask) {
+      uint32_t E = Table[Slot];
+      if (E == 0) {
+        Table[Slot] = TI + 1;
+        break;
+      }
+      const Constraint &O = T[E - 1];
+      if (O.K == C.K && O.B == C.B && StateRep[O.S1] == R1 &&
+          StateRep[O.S2] == R2) {
+        Alive[TI] = 0;
+        ++Stats.DupTriplesRemoved;
+        break;
+      }
+    }
   }
 
-  Out.Stats.StateVarsAfter = Res.numStateVars();
-  Out.Stats.ConstraintsAfter = Res.numConstraints();
-  return Out;
-}
-
-} // namespace
-
-SimplifiedSystem solver::simplify(const ConstraintSystem &Sys) {
-  return simplifyCore(Sys.numStateVars(), Sys.numBoolVars(),
-                      Sys.numConstraints(), Sys.StateDom,
-                      [&](auto &&Visit) {
-                        for (const Constraint &C : Sys.Cons)
-                          Visit(C);
-                      });
-}
-
-SimplifiedSystem solver::simplifyShard(const ConstraintSystem &Sys, uint32_t K,
-                                       const ShardLocalIds &Ids) {
-  return simplifyShardRange(Sys, K, K + 1, Ids);
-}
-
-SimplifiedSystem solver::simplifyShardRange(const ConstraintSystem &Sys,
-                                            uint32_t KBegin, uint32_t KEnd,
-                                            const ShardLocalIds &Ids) {
-  size_t NS = 0, NB = 0, NC = 0;
-  for (uint32_t K = KBegin; K != KEnd; ++K) {
-    NS += Sys.shardStates(K).size();
-    NB += Sys.shardBools(K).size();
-    NC += Sys.shardConstraints(K).size();
+  // Emit the residual in triple order over representative ids; member
+  // triple ranges give the per-component residual sizes.
+  W.Cons.clear();
+  size_t Largest = 0;
+  for (size_t M = 0; M + 1 < W.MemberTriples.size(); ++M) {
+    const size_t Before = W.Cons.size();
+    for (uint32_t TI = W.MemberTriples[M]; TI != W.MemberTriples[M + 1]; ++TI)
+      if (Alive[TI])
+        W.Cons.push_back(
+            {T[TI].K, StateRep[T[TI].S1], StateRep[T[TI].S2], T[TI].B});
+    Largest = std::max(Largest, W.Cons.size() - Before);
   }
-  support::StateDomains Dom;
-  Dom.reserve(NS);
-  for (uint32_t K = KBegin; K != KEnd; ++K)
-    for (uint32_t S : Sys.shardStates(K))
-      Dom.push_back(Sys.StateDom.get(S));
-  return simplifyCore(
-      NS, NB, NC, std::move(Dom), [&](auto &&Visit) {
-        uint32_t SOff = 0, BOff = 0;
-        for (uint32_t K = KBegin; K != KEnd; ++K) {
-          for (uint32_t CI : Sys.shardConstraints(K)) {
-            Constraint C = Sys.Cons[CI];
-            C.S1 = SOff + Ids.State[C.S1];
-            C.S2 = SOff + Ids.State[C.S2];
-            if (C.K != Constraint::Kind::Eq)
-              C.B = BOff + Ids.Bool[C.B];
-            Visit(C);
-          }
-          SOff += static_cast<uint32_t>(Sys.shardStates(K).size());
-          BOff += static_cast<uint32_t>(Sys.shardBools(K).size());
-        }
-      });
+
+  Stats.StateVarsAfter = W.SD.size();
+  Stats.ConstraintsAfter = W.Cons.size();
+  Stats.LargestComponent = Largest;
+  return true;
 }

@@ -1,17 +1,11 @@
 #include "solver/Solver.h"
 
-#include "solver/Components.h"
+#include "solver/Workspace.h"
 #include "support/Metrics.h"
-#include "support/PackedDomains.h"
-#include "support/ThreadPool.h"
-
-#include "support/CliParse.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
-#include <cstddef>
-#include <cstdlib>
+#include <cstring>
+#include <numeric>
 
 using namespace afl;
 using namespace afl::solver;
@@ -19,74 +13,55 @@ using namespace afl::constraints;
 
 namespace {
 
-/// Byte-per-lane stand-in for support::PackedArray with the same lane
-/// API: the historical domain representation, kept as the solver's
-/// differential oracle and bench baseline
-/// (SolveOptions::PackedDomains = false, `aflc --no-packed-domains`).
-struct ByteLanes {
-  uint8_t get(size_t I) const { return V[I]; }
-  void set(size_t I, uint8_t Val) { V[I] = Val; }
-  size_t size() const { return V.size(); }
-  void assign(size_t N, uint8_t Val) { V.assign(N, Val); }
-  bool hasZeroEntry() const {
-    for (uint8_t D : V)
-      if (D == 0)
-        return true;
-    return false;
-  }
-  std::vector<uint8_t> V;
-};
-
-template <unsigned Bits>
-void initLanes(const support::PackedArray<Bits> &Src,
-               support::PackedArray<Bits> &Dst) {
-  Dst = Src;
-}
-template <unsigned Bits>
-void initLanes(const support::PackedArray<Bits> &Src, ByteLanes &Dst) {
-  Dst.V = Src.unpack();
-}
-template <unsigned Bits>
-void exportLanes(support::PackedArray<Bits> &&Src,
-                 support::PackedArray<Bits> &Dst) {
-  Dst = std::move(Src);
-}
-template <unsigned Bits>
-void exportLanes(ByteLanes &&Src, support::PackedArray<Bits> &Dst) {
-  Dst = support::PackedArray<Bits>::pack(Src.V);
-}
-
-/// The propagation/choice/backtrack core, parameterized over the domain
-/// and flag array representations: bit-packed (the production mode —
-/// 3-bit state / 2-bit boolean / 1-bit flag lanes, word-at-a-time
-/// construction and copies) or byte lanes (the oracle). The algorithm is
-/// representation-blind: both instantiations execute the identical
-/// sequence of domain reads and writes, which is why their solutions are
-/// bit-identical (tests/SolverDifferentialTest.cpp).
-template <typename SDomT, typename BDomT, typename FlagT> class SolverImpl {
+/// The propagation/choice/backtrack core over the system loaded in a
+/// Workspace: the constraint span \p Cons and the byte-lane domains
+/// `W.SD` / `W.BD`. The production path loads a simplified group
+/// residual; the raw oracle loads the unsimplified system.
+class Core {
 public:
-  explicit SolverImpl(const ConstraintSystem &Sys) : Sys(Sys) {
-    initLanes(Sys.StateDom, SD);
-    initLanes(Sys.BoolDom, BD);
-    InQueue.assign(Sys.Cons.size(), 0);
-    InAllocCand.assign(Sys.Cons.size(), 0);
-    InDeallocCand.assign(Sys.Cons.size(), 0);
-  }
+  Core(Workspace &W, const Constraint *Cons, size_t NumCons,
+       SolveResult &Counts)
+      : W(W), Cons(Cons), NumCons(NumCons), Counts(Counts) {}
 
-  SolveResult run();
+  /// True iff the loaded system is satisfiable; the solution is then
+  /// in `W.SD` / `W.BD`. Adds the work counters to Counts either way.
+  bool run();
 
 private:
-  struct TrailEntry {
-    bool IsBool;
-    uint32_t Id;
-    uint8_t Old;
-  };
-  struct Decision {
-    BoolVarId B;
-    size_t TrailSize;
-    uint8_t FirstTry; // BTrue or BFalse
-    bool Flipped;
-  };
+  /// CSR occurrence lists of the loaded constraints (ascending
+  /// constraint indices per variable), built once per run.
+  void buildOccurrences() {
+    std::vector<uint32_t> &SStart = W.SOccStart, &BStart = W.BOccStart;
+    SStart.assign(W.SD.size() + 1, 0);
+    BStart.assign(W.BD.size() + 1, 0);
+    for (size_t CI = 0; CI != NumCons; ++CI) {
+      const Constraint &C = Cons[CI];
+      ++SStart[C.S1 + 1];
+      ++SStart[C.S2 + 1];
+      if (C.K != Constraint::Kind::Eq)
+        ++BStart[C.B + 1];
+    }
+    for (size_t V = 1; V < SStart.size(); ++V)
+      SStart[V] += SStart[V - 1];
+    for (size_t V = 1; V < BStart.size(); ++V)
+      BStart[V] += BStart[V - 1];
+    W.SOccData.resize(SStart.back());
+    W.BOccData.resize(BStart.back());
+    // Fill with Start[V] as V's cursor; afterwards each cursor sits at
+    // the next list's start, so shifting them up one slot restores the
+    // starts.
+    for (uint32_t CI = 0; CI != NumCons; ++CI) {
+      const Constraint &C = Cons[CI];
+      W.SOccData[SStart[C.S1]++] = CI;
+      W.SOccData[SStart[C.S2]++] = CI;
+      if (C.K != Constraint::Kind::Eq)
+        W.BOccData[BStart[C.B]++] = CI;
+    }
+    SStart.insert(SStart.begin(), 0);
+    SStart.pop_back();
+    BStart.insert(BStart.begin(), 0);
+    BStart.pop_back();
+  }
 
   /// One scan of the variable's occurrence list handles everything a
   /// domain change requires: re-queue the constraints for propagation
@@ -97,22 +72,33 @@ private:
   /// most once per structure — without them, propagation-heavy programs
   /// push the same index on every domain change (quadratic growth).
   void onChange(bool IsBool, uint32_t Id, bool Enqueue) {
-    const auto Occ = IsBool ? Sys.boolOcc(Id) : Sys.stateOcc(Id);
-    for (uint32_t CI : Occ) {
-      if (Enqueue && !InQueue.get(CI)) {
-        InQueue.set(CI, 1);
-        Queue.push_back(CI);
+    const std::vector<uint32_t> &Start = IsBool ? W.BOccStart : W.SOccStart;
+    const uint32_t *Data = IsBool ? W.BOccData.data() : W.SOccData.data();
+    // Byte stores may alias anything, so hoist the flag arrays out of
+    // the loop rather than reloading them through W on every entry.
+    const Constraint *const C = Cons;
+    uint8_t *const InQueue = W.InQueue.data();
+    uint8_t *const InAlloc = W.InAllocCand.data();
+    uint8_t *const InDealloc = W.InDeallocCand.data();
+    const bool Candidates = Recording;
+    for (uint32_t I = Start[Id], E = Start[Id + 1]; I != E; ++I) {
+      uint32_t CI = Data[I];
+      if (Enqueue && !InQueue[CI]) {
+        InQueue[CI] = 1;
+        W.Queue.push_back(CI);
       }
-      const Constraint &C = Sys.Cons[CI];
-      if (C.K == Constraint::Kind::AllocTriple) {
-        if (!InAllocCand.get(CI)) {
-          InAllocCand.set(CI, 1);
-          AllocCand.push_back(CI);
+      if (!Candidates)
+        continue;
+      const Constraint::Kind K = C[CI].K;
+      if (K == Constraint::Kind::AllocTriple) {
+        if (!InAlloc[CI]) {
+          InAlloc[CI] = 1;
+          W.AllocCand.push_back(CI);
         }
-      } else if (C.K == Constraint::Kind::DeallocTriple) {
-        if (!InDeallocCand.get(CI)) {
-          InDeallocCand.set(CI, 1);
-          DeallocCand.push_back(CI);
+      } else if (K == Constraint::Kind::DeallocTriple) {
+        if (!InDealloc[CI]) {
+          InDealloc[CI] = 1;
+          W.DeallocCand.push_back(CI);
         }
       }
     }
@@ -121,31 +107,29 @@ private:
   }
 
   bool setState(StateVarId S, uint8_t Mask) {
-    uint8_t Old = SD.get(S);
+    uint8_t Old = W.SD[S];
     uint8_t New = Old & Mask;
     if (New == Old)
       return true;
-    if (New == 0) {
-      Conflict = true;
+    if (New == 0)
       return false;
-    }
-    Trail.push_back({false, S, Old});
-    SD.set(S, New);
+    if (Recording)
+      W.Trail.push_back({false, S, Old});
+    W.SD[S] = New;
     onChange(false, S, true);
     return true;
   }
 
   bool setBool(BoolVarId B, uint8_t Mask) {
-    uint8_t Old = BD.get(B);
+    uint8_t Old = W.BD[B];
     uint8_t New = Old & Mask;
     if (New == Old)
       return true;
-    if (New == 0) {
-      Conflict = true;
+    if (New == 0)
       return false;
-    }
-    Trail.push_back({true, B, Old});
-    BD.set(B, New);
+    if (Recording)
+      W.Trail.push_back({true, B, Old});
+    W.BD[B] = New;
     onChange(true, B, true);
     return true;
   }
@@ -156,17 +140,17 @@ private:
   /// second setState reads the domain the first one just narrowed.
   bool propagateTriple(StateVarId S1, BoolVarId B, StateVarId S2,
                        uint8_t From, uint8_t To) {
-    uint8_t BV = BD.get(B);
+    uint8_t BV = W.BD[B];
     if (BV == BTrue)
       return setState(S1, From) && setState(S2, To);
     if (BV == BFalse)
-      return setState(S1, SD.get(S2)) && setState(S2, SD.get(S1));
+      return setState(S1, W.SD[S2]) && setState(S2, W.SD[S1]);
     // Boolean undetermined.
-    uint8_t D1 = SD.get(S1), D2 = SD.get(S2);
+    uint8_t D1 = W.SD[S1], D2 = W.SD[S2];
     if (!(D1 & From) || !(D2 & To)) {
       if (!setBool(B, BFalse))
         return false;
-      return setState(S1, SD.get(S2)) && setState(S2, SD.get(S1));
+      return setState(S1, W.SD[S2]) && setState(S2, W.SD[S1]);
     }
     if ((D1 & D2) == 0) {
       if (!setBool(B, BTrue))
@@ -175,13 +159,13 @@ private:
     }
     // Both options open: prune to the union of the two scenarios.
     return setState(S1, static_cast<uint8_t>(D2 | From)) &&
-           setState(S2, static_cast<uint8_t>(SD.get(S1) | To));
+           setState(S2, static_cast<uint8_t>(W.SD[S1] | To));
   }
 
   bool propagateOne(const Constraint &C) {
     switch (C.K) {
     case Constraint::Kind::Eq:
-      return setState(C.S1, SD.get(C.S2)) && setState(C.S2, SD.get(C.S1));
+      return setState(C.S1, W.SD[C.S2]) && setState(C.S2, W.SD[C.S1]);
     case Constraint::Kind::AllocTriple:
       return propagateTriple(C.S1, C.B, C.S2, StU, StA);
     case Constraint::Kind::DeallocTriple:
@@ -190,46 +174,47 @@ private:
     return true;
   }
 
+  /// Drains the index-cursor worklist; the storage is reclaimed whenever
+  /// the queue drains.
   bool propagate() {
-    while (QueueHead != Queue.size()) {
-      uint32_t CI = Queue[QueueHead++];
-      InQueue.set(CI, 0);
-      ++Stats.Propagations;
-      if (!propagateOne(Sys.Cons[CI])) {
+    while (QueueHead != W.Queue.size()) {
+      uint32_t CI = W.Queue[QueueHead++];
+      W.InQueue[CI] = 0;
+      ++Counts.Propagations;
+      if (!propagateOne(Cons[CI])) {
         // Drain the queue; state is rolled back by the caller.
-        for (size_t I = QueueHead; I != Queue.size(); ++I)
-          InQueue.set(Queue[I], 0);
-        Queue.clear();
+        for (size_t I = QueueHead; I != W.Queue.size(); ++I)
+          W.InQueue[W.Queue[I]] = 0;
+        W.Queue.clear();
         QueueHead = 0;
         return false;
       }
     }
-    Queue.clear();
+    W.Queue.clear();
     QueueHead = 0;
     return true;
   }
 
   void rollbackTo(size_t TrailSize) {
-    while (Trail.size() > TrailSize) {
-      const TrailEntry &E = Trail.back();
+    while (W.Trail.size() > TrailSize) {
+      const Workspace::TrailEntry E = W.Trail.back();
+      W.Trail.pop_back();
       if (E.IsBool)
-        BD.set(E.Id, E.Old);
+        W.BD[E.Id] = E.Old;
       else
-        SD.set(E.Id, E.Old);
+        W.SD[E.Id] = E.Old;
       // Reverting re-creates whatever candidacy existed before.
       onChange(E.IsBool, E.Id, false);
-      Trail.pop_back();
     }
-    Conflict = false;
   }
 
   bool isAllocCandidate(const Constraint &C) const {
-    return C.K == Constraint::Kind::AllocTriple && BD.get(C.B) == BAny &&
-           SD.get(C.S2) == StA && (SD.get(C.S1) & StU) && SD.get(C.S1) != StU;
+    return C.K == Constraint::Kind::AllocTriple && W.BD[C.B] == BAny &&
+           W.SD[C.S2] == StA && (W.SD[C.S1] & StU) && W.SD[C.S1] != StU;
   }
   bool isDeallocCandidate(const Constraint &C) const {
-    return C.K == Constraint::Kind::DeallocTriple && BD.get(C.B) == BAny &&
-           SD.get(C.S1) == StA && (SD.get(C.S2) & StD) && SD.get(C.S2) != StD;
+    return C.K == Constraint::Kind::DeallocTriple && W.BD[C.B] == BAny &&
+           W.SD[C.S1] == StA && (W.SD[C.S2] & StD) && W.SD[C.S2] != StD;
   }
 
   /// Finds the next choice per the paper's preference: a border allocation
@@ -237,46 +222,45 @@ private:
   /// incrementally), else any open boolean (defaulted to false = no
   /// operation).
   bool findChoice(BoolVarId &B, uint8_t &Value) {
-    // Seed the candidate stacks once with a full scan.
+    // Seed the candidate stacks once with every triple, in order.
     if (!Seeded) {
       Seeded = true;
-      for (uint32_t CI = 0; CI != Sys.Cons.size(); ++CI) {
-        const Constraint &C = Sys.Cons[CI];
-        if (C.K == Constraint::Kind::AllocTriple) {
-          InAllocCand.set(CI, 1);
-          AllocCand.push_back(CI);
-        } else if (C.K == Constraint::Kind::DeallocTriple) {
-          InDeallocCand.set(CI, 1);
-          DeallocCand.push_back(CI);
+      for (uint32_t CI = 0; CI != NumCons; ++CI) {
+        if (Cons[CI].K == Constraint::Kind::AllocTriple) {
+          W.InAllocCand[CI] = 1;
+          W.AllocCand.push_back(CI);
+        } else if (Cons[CI].K == Constraint::Kind::DeallocTriple) {
+          W.InDeallocCand[CI] = 1;
+          W.DeallocCand.push_back(CI);
         }
       }
     }
-    while (!AllocCand.empty()) {
-      uint32_t CI = AllocCand.back();
-      AllocCand.pop_back();
-      InAllocCand.set(CI, 0);
-      if (isAllocCandidate(Sys.Cons[CI])) {
+    while (!W.AllocCand.empty()) {
+      uint32_t CI = W.AllocCand.back();
+      W.AllocCand.pop_back();
+      W.InAllocCand[CI] = 0;
+      if (isAllocCandidate(Cons[CI])) {
         // The candidate is popped, not peeked: if the decision is later
-        // rolled back, noteChange re-adds it for the variables on the
+        // rolled back, onChange re-adds it for the variables on the
         // trail.
-        B = Sys.Cons[CI].B;
+        B = Cons[CI].B;
         Value = BTrue;
         return true;
       }
     }
-    while (!DeallocCand.empty()) {
-      uint32_t CI = DeallocCand.back();
-      DeallocCand.pop_back();
-      InDeallocCand.set(CI, 0);
-      if (isDeallocCandidate(Sys.Cons[CI])) {
-        B = Sys.Cons[CI].B;
+    while (!W.DeallocCand.empty()) {
+      uint32_t CI = W.DeallocCand.back();
+      W.DeallocCand.pop_back();
+      W.InDeallocCand[CI] = 0;
+      if (isDeallocCandidate(Cons[CI])) {
+        B = Cons[CI].B;
         Value = BTrue;
         return true;
       }
     }
-    while (BoolPointer < BD.size() && BD.get(BoolPointer) != BAny)
+    while (BoolPointer < W.BD.size() && W.BD[BoolPointer] != BAny)
       ++BoolPointer;
-    if (BoolPointer < BD.size()) {
+    if (BoolPointer < W.BD.size()) {
       B = static_cast<BoolVarId>(BoolPointer);
       Value = BFalse;
       return true;
@@ -284,427 +268,235 @@ private:
     return false;
   }
 
-  const ConstraintSystem &Sys;
-  SDomT SD;
-  BDomT BD;
-  // In-structure membership flags. The packed mode keeps these at one
-  // bit per constraint (the memsets in the constructor are the point:
-  // they run once per solved residual, and shard grouping constructs
-  // thousands of solvers per batch); the byte mode keeps the historical
-  // byte flags.
-  FlagT InQueue;
-  FlagT InAllocCand, InDeallocCand;
-  /// Index-cursor worklist: pushes append, pops advance QueueHead; the
-  /// storage is reclaimed whenever the queue drains.
-  std::vector<uint32_t> Queue;
+  Workspace &W;
+  const Constraint *Cons;
+  size_t NumCons;
+  SolveResult &Counts;
   size_t QueueHead = 0;
-  std::vector<TrailEntry> Trail;
-  std::vector<Decision> Decisions;
-  std::vector<uint32_t> AllocCand, DeallocCand;
   size_t BoolPointer = 0;
   bool Seeded = false;
-  bool Conflict = false;
-  SolveResult Stats;
+  /// Off during the initial propagation, which then pushes neither trail
+  /// entries nor border candidates (docs/SOLVER.md): no decision can
+  /// roll back below it, and the seeding in findChoice stacks every
+  /// triple above anything it would have pushed.
+  bool Recording = false;
 };
 
-template <typename SDomT, typename BDomT, typename FlagT>
-SolveResult SolverImpl<SDomT, BDomT, FlagT>::run() {
+bool Core::run() {
   // An empty initial domain is a conflict even when the variable occurs
   // in no constraint — propagation would never visit it, and a
   // completion extracted from such a "solution" would be unsound.
-  if (SD.hasZeroEntry() || BD.hasZeroEntry()) {
-    Stats.Sat = false;
-    return Stats;
-  }
+  if (std::find(W.SD.begin(), W.SD.end(), 0) != W.SD.end() ||
+      std::find(W.BD.begin(), W.BD.end(), 0) != W.BD.end())
+    return false;
+
+  buildOccurrences();
+  W.InAllocCand.assign(NumCons, 0);
+  W.InDeallocCand.assign(NumCons, 0);
+  W.AllocCand.clear();
+  W.DeallocCand.clear();
+  W.Trail.clear();
+  W.Decisions.clear();
 
   // Initial propagation: seed with every constraint.
-  for (uint32_t CI = 0; CI != Sys.Cons.size(); ++CI) {
-    InQueue.set(CI, 1);
-    Queue.push_back(CI);
-  }
-  if (!propagate()) {
-    Stats.Sat = false;
-    return Stats;
-  }
+  W.InQueue.assign(NumCons, 1);
+  W.Queue.resize(NumCons);
+  std::iota(W.Queue.begin(), W.Queue.end(), 0u);
+  if (!propagate())
+    return false;
+  Recording = true;
 
   for (;;) {
     BoolVarId B = 0;
     uint8_t Value = 0;
-    if (!findChoice(B, Value)) {
-      Stats.Sat = true;
-      exportLanes(std::move(SD), Stats.StateDom);
-      exportLanes(std::move(BD), Stats.BoolDom);
-      return Stats;
-    }
-    ++Stats.Choices;
-    Decisions.push_back({B, Trail.size(), Value, false});
+    if (!findChoice(B, Value))
+      return true;
+    ++Counts.Choices;
+    W.Decisions.push_back({B, W.Trail.size(), Value, false});
     setBool(B, Value);
     while (!propagate()) {
       // Conflict: flip the most recent unflipped decision.
       for (;;) {
-        if (Decisions.empty()) {
-          Stats.Sat = false;
-          return Stats;
-        }
-        Decision &D = Decisions.back();
+        if (W.Decisions.empty())
+          return false;
+        Workspace::Decision &D = W.Decisions.back();
         rollbackTo(D.TrailSize);
         if (!D.Flipped) {
-          ++Stats.Backtracks;
+          ++Counts.Backtracks;
           D.Flipped = true;
-          uint8_t Other = D.FirstTry == BTrue ? BFalse : BTrue;
-          setBool(D.B, Other);
+          setBool(D.B, D.FirstTry == BTrue ? BFalse : BTrue);
           break;
         }
-        Decisions.pop_back();
+        W.Decisions.pop_back();
       }
     }
   }
 }
 
-/// Runs one core solve over \p Sys in the representation \p Packed
-/// selects. Both modes return packed domains in the SolveResult.
-SolveResult runCore(const ConstraintSystem &Sys, bool Packed) {
-  if (Packed)
-    return SolverImpl<support::StateDomains, support::BoolDomains,
-                      support::PackedBits>(Sys)
-        .run();
-  return SolverImpl<ByteLanes, ByteLanes, ByteLanes>(Sys).run();
+/// The raw §4.3 oracle: the unsimplified system, solved as one on the
+/// same core.
+SolveResult solveRaw(const ConstraintSystem &Sys) {
+  SolveResult R;
+  Workspace W;
+  W.SD = Sys.StateDom.unpack();
+  W.BD = Sys.BoolDom.unpack();
+  if (Core(W, Sys.Cons.data(), Sys.Cons.size(), R).run()) {
+    R.Sat = true;
+    R.StateDom = support::StateDomains::pack(W.SD);
+    R.BoolDom = support::BoolDomains::pack(W.BD);
+  }
+  return R;
 }
 
-/// Solves the components of \p Split (each written to its slot of
-/// \p Results) with \p Jobs workers. Returns false as soon as any
-/// component is unsatisfiable (remaining components are skipped).
-bool solveComponents(const ComponentSplit &Split,
-                     std::vector<SolveResult> &Results, unsigned Jobs,
-                     bool Packed) {
-  Results.resize(Split.Comps.size());
-  std::atomic<bool> Failed{false};
-
-  // Shared-pool fan-out (support/ThreadPool.h): each item writes only
-  // its own Results slot. Once any component is unsatisfiable the
-  // remaining items early-out (their slots stay default, Sat == false,
-  // and are never read — solve() returns Unsat immediately).
-  ThreadPool::global().parallelFor(
-      Split.Comps.size(), Jobs <= 1 ? 1 : Jobs, [&](size_t I) {
-        if (Failed.load(std::memory_order_relaxed))
-          return;
-        Results[I] = runCore(Split.Comps[I].Sys, Packed);
-        if (!Results[I].Sat)
-          Failed.store(true, std::memory_order_relaxed);
-      });
-  return !Failed.load(std::memory_order_relaxed);
+/// Numbers every sharded variable by its rank within its group of
+/// \p GroupStart (member shards in order, members ascending) — the
+/// group-local ids simplifyGroup reads. Returns the number of sharded
+/// state variables.
+size_t assignLocalIds(const ConstraintSystem &Sys,
+                      const std::vector<uint32_t> &GroupStart, Workspace &W) {
+  W.LocalState.assign(Sys.numStateVars(), ~0u);
+  W.LocalBool.assign(Sys.numBoolVars(), ~0u);
+  size_t Sharded = 0;
+  for (size_t G = 0; G + 1 < GroupStart.size(); ++G) {
+    uint32_t LS = 0, LB = 0;
+    for (uint32_t K = GroupStart[G]; K != GroupStart[G + 1]; ++K) {
+      for (uint32_t S : Sys.shardStates(K))
+        W.LocalState[S] = LS++;
+      for (uint32_t B : Sys.shardBools(K))
+        W.LocalBool[B] = LB++;
+    }
+    Sharded += LS;
+  }
+  return Sharded;
 }
 
-/// The pre-sharded path: the input's emission-time union-find already
+/// Simplifies and solves the shard group [\p KBegin, \p KEnd) on \p W,
+/// adding its statistics and work counters to \p R. On success the
+/// group's solution is loaded in W: `SD` over representatives (via
+/// `StateRep`), `BD` over group-local booleans.
+bool solveGroup(const ConstraintSystem &Sys, uint32_t KBegin, uint32_t KEnd,
+                Workspace &W, SolveResult &R) {
+  Stopwatch Watch;
+  SimplifyStats Stats;
+  bool Ok = simplifyGroup(Sys, KBegin, KEnd, W, Stats);
+  Stats.SimplifySeconds = Watch.seconds();
+  R.Simplify.accumulate(Stats);
+  return Ok && Core(W, W.Cons.data(), W.Cons.size(), R).run();
+}
+
+/// Shared epilogue of the sharded paths: whole-system statistics, and
+/// the final boolean sweep — booleans in no shard (never in a triple)
+/// default to false, exactly as the raw solver's choices leave them.
+void finishSharded(const ConstraintSystem &Sys, size_t ShardedStates,
+                   bool Sat, SolveResult &R) {
+  // The per-group sums cover only sharded variables; unconstrained ones
+  // are one singleton class each.
+  size_t Unsharded = Sys.numStateVars() - ShardedStates;
+  R.Simplify.StateVarsBefore += Unsharded;
+  R.Simplify.StateVarsAfter += Unsharded;
+  R.Simplify.Components = Sys.numShards();
+  R.Sat = Sat;
+  if (!Sat) {
+    R.StateDom.clear();
+    R.BoolDom.clear();
+    return;
+  }
+  R.BoolDom.defaultAnyToFalse();
+}
+
+/// The production path. The input's emission-time union-find already
 /// partitioned variables and constraints into connected components, so
-/// each shard is simplified and solved on its own — sequentially in
-/// shard order or fanned out over the pool — with no global simplify, no
-/// component-discovery pass, and no materialized per-shard system
-/// (simplifyShard consumes the CSR shard index directly). Shards
-/// partition the variable space, so workers scatter solved domains
-/// directly into disjoint slots of the result arrays.
-SolveResult solveSharded(const ConstraintSystem &Sys,
-                         const SolveOptions &Options, Stopwatch &Watch) {
+/// contiguous shards are grouped and each group is simplified and
+/// solved on one workspace, then scattered into the packed result.
+SolveResult solveShards(const ConstraintSystem &Sys) {
   SolveResult R;
 
   // An empty *initial* domain is a conflict even for a variable in no
-  // constraint — it never reaches a shard, so check globally up front
-  // (the same scan simplify() opens with on the monolithic path).
-  if (Sys.StateDom.hasZeroEntry()) {
-    R.Sat = false;
-    R.Seconds = Watch.seconds();
+  // constraint — it never reaches a shard, so check globally up front.
+  if (Sys.StateDom.hasZeroEntry())
     return R;
-  }
-
-  Stopwatch Phase;
-  const size_t NumShards = Sys.numShards();
-  ShardLocalIds Ids = buildShardLocalIds(Sys);
-  R.Simplify.ComponentSeconds = Phase.seconds();
-
-  unsigned Jobs = Options.Jobs;
-  if (Jobs == 0)
-    Jobs = ThreadPool::hardwareThreads();
-  if (Sys.numConstraints() < Options.ParallelMinConstraints)
-    Jobs = 1;
 
   // Group contiguous shards into work units of roughly GroupTarget
-  // constraints: the per-unit fixed costs (simplification scratch,
-  // solver construction, propagation seeding) dwarf the work of a
-  // ten-constraint shard, and typical programs produce hundreds of tiny
-  // shards. Because shards share no variables, simplifying and solving a
-  // group is exactly the concatenation of its members' individual runs —
-  // grouping changes nothing observable but the amortization. When
-  // running parallel, the target shrinks so every worker gets several
-  // units to balance.
-  size_t GroupTarget = 8192;
-  if (Jobs > 1)
-    GroupTarget = std::min(
-        GroupTarget,
-        std::max<size_t>(1, Sys.numConstraints() / (size_t(Jobs) * 4)));
-  std::vector<uint32_t> GroupStart;
-  GroupStart.push_back(0);
-  {
-    size_t Acc = 0;
-    for (uint32_t K = 0; K != NumShards; ++K) {
-      size_t N = Sys.shardConstraints(K).size();
-      if (Acc != 0 && Acc + N > GroupTarget) {
-        GroupStart.push_back(K);
-        Acc = 0;
-      }
-      Acc += N;
+  // constraints: the per-unit fixed costs (clearing scratch, seeding
+  // propagation) dwarf the work of a ten-constraint shard, and typical
+  // programs produce hundreds of tiny shards. Because shards share no
+  // variables, simplifying and solving a group is exactly the
+  // concatenation of its members' individual runs — grouping changes
+  // nothing observable but the amortization.
+  constexpr size_t GroupTarget = 8192;
+  const uint32_t NumShards = static_cast<uint32_t>(Sys.numShards());
+  std::vector<uint32_t> GroupStart{0};
+  size_t Acc = 0;
+  for (uint32_t K = 0; K != NumShards; ++K) {
+    size_t N = Sys.shardConstraints(K).size();
+    if (Acc != 0 && Acc + N > GroupTarget) {
+      GroupStart.push_back(K);
+      Acc = 0;
     }
+    Acc += N;
   }
   if (NumShards != 0)
-    GroupStart.push_back(static_cast<uint32_t>(NumShards));
-  const size_t NumGroups = GroupStart.size() - 1;
+    GroupStart.push_back(NumShards);
+
+  Workspace W;
+  const size_t Sharded = assignLocalIds(Sys, GroupStart, W);
 
   // Unsharded variables keep their initial domains (they are their own
-  // representatives); every sharded slot is overwritten below. Word
-  // copies: both sides are packed.
+  // representatives); every sharded slot is overwritten below.
   R.StateDom = Sys.StateDom;
   R.BoolDom = Sys.BoolDom;
-
-  struct GroupWork {
-    SimplifyStats Stats;
-    uint64_t Propagations = 0, Choices = 0, Backtracks = 0;
-    /// The group's solved residual domains and its local->rep mapping,
-    /// kept for the post-join scatter. With byte domains workers could
-    /// scatter into the shared result directly (each wrote distinct
-    /// bytes); packed lanes from different shards share words, so the
-    /// scatter must not run concurrently — it is replayed sequentially
-    /// once all groups finish, which also keeps it deterministic.
-    SolveResult Solved;
-    std::vector<StateVarId> StateRep;
-  };
-  std::vector<GroupWork> Work(NumGroups);
-  std::atomic<bool> Failed{false};
-
-  auto SolveOne = [&](size_t G) {
-    if (Failed.load(std::memory_order_relaxed))
-      return;
-    const uint32_t KBegin = GroupStart[G], KEnd = GroupStart[G + 1];
-    Stopwatch SW;
-    SimplifiedSystem Simp = simplifyShardRange(Sys, KBegin, KEnd, Ids);
-    Work[G].Stats = Simp.Stats;
-    Work[G].Stats.SimplifySeconds = SW.seconds();
-    if (Simp.Conflict) {
-      Failed.store(true, std::memory_order_relaxed);
-      return;
-    }
-    // LargestComponent carries the largest member shard's residual size
-    // (the accumulation below takes the maximum, matching the monolithic
-    // path's largest-residual-component statistic). Member reps occupy
-    // contiguous ascending ranges bounded by the rep of each member's
-    // first state variable, so a rep -> member table buckets the
-    // residual constraints in one linear pass.
-    {
-      const uint32_t Members = KEnd - KBegin;
-      std::vector<uint32_t> MemberOf(Simp.Residual.numStateVars());
-      uint32_t Off = 0;
-      for (uint32_t M = 0; M != Members; ++M) {
-        uint32_t RepBegin = Simp.StateRep[Off];
-        Off += static_cast<uint32_t>(Sys.shardStates(KBegin + M).size());
-        uint32_t RepEnd = Off < Simp.StateRep.size()
-                              ? Simp.StateRep[Off]
-                              : static_cast<uint32_t>(MemberOf.size());
-        for (uint32_t R = RepBegin; R != RepEnd; ++R)
-          MemberOf[R] = M;
-      }
-      std::vector<uint32_t> PerMember(Members, 0);
-      for (const Constraint &C : Simp.Residual.Cons)
-        ++PerMember[MemberOf[C.S1]];
-      for (uint32_t N : PerMember)
-        Work[G].Stats.LargestComponent =
-            std::max<size_t>(Work[G].Stats.LargestComponent, N);
-    }
-    SolveResult CR = runCore(Simp.Residual, Options.PackedDomains);
-    Work[G].Propagations = CR.Propagations;
-    Work[G].Choices = CR.Choices;
-    Work[G].Backtracks = CR.Backtracks;
-    if (!CR.Sat) {
-      Failed.store(true, std::memory_order_relaxed);
-      return;
-    }
-    Work[G].Solved = std::move(CR);
-    Work[G].StateRep = std::move(Simp.StateRep);
-  };
-
-  if (Jobs <= 1) {
-    for (size_t G = 0; G != NumGroups && !Failed.load(); ++G)
-      SolveOne(G);
-  } else {
-    ThreadPool::global().parallelFor(NumGroups, Jobs, SolveOne);
-  }
-
-  for (const GroupWork &W : Work) {
-    R.Simplify.accumulate(W.Stats);
-    R.Propagations += W.Propagations;
-    R.Choices += W.Choices;
-    R.Backtracks += W.Backtracks;
-  }
-  // The per-group sums cover only sharded variables; unconstrained ones
-  // are one singleton class each on the monolithic path.
-  size_t Unsharded = Sys.numStateVars() - Ids.NumShardedStates;
-  R.Simplify.StateVarsBefore += Unsharded;
-  R.Simplify.StateVarsAfter += Unsharded;
-  R.Simplify.Components = NumShards;
-  R.Simplify.ThreadsUsed =
-      Jobs <= 1 ? 1
-                : std::min<size_t>(Jobs, std::max<size_t>(NumGroups, 1));
-
-  if (Failed.load()) {
-    R.Sat = false;
-    R.StateDom.clear();
-    R.BoolDom.clear();
-    R.Seconds = Watch.seconds();
-    return R;
-  }
-
-  // Scatter every group's solved domains back over the global lanes.
-  // StateRep and the solved arrays index group-local variables; the
-  // shard tables give the local -> global mapping, member by member.
-  for (size_t G = 0; G != NumGroups; ++G) {
-    const GroupWork &W = Work[G];
-    uint32_t SOff = 0, BOff = 0;
+  bool Sat = true;
+  for (size_t G = 0; G + 1 < GroupStart.size(); ++G) {
+    Sat = solveGroup(Sys, GroupStart[G], GroupStart[G + 1], W, R);
+    if (!Sat)
+      break;
+    uint32_t LS = 0, LB = 0;
     for (uint32_t K = GroupStart[G]; K != GroupStart[G + 1]; ++K) {
-      const auto States = Sys.shardStates(K);
-      for (size_t L = 0; L != States.size(); ++L)
-        R.StateDom.set(States.begin()[L],
-                       W.Solved.StateDom.get(W.StateRep[SOff + L]));
-      SOff += static_cast<uint32_t>(States.size());
-      const auto Bools = Sys.shardBools(K);
-      for (size_t L = 0; L != Bools.size(); ++L)
-        R.BoolDom.set(Bools.begin()[L], W.Solved.BoolDom.get(BOff + L));
-      BOff += static_cast<uint32_t>(Bools.size());
+      for (uint32_t S : Sys.shardStates(K))
+        R.StateDom.set(S, W.SD[W.StateRep[LS++]]);
+      for (uint32_t B : Sys.shardBools(K))
+        R.BoolDom.set(B, W.BD[LB++]);
     }
   }
-
-  // Booleans in no shard (never in a triple) default to false — no
-  // operation — exactly as the raw solver's final sweep leaves them.
-  R.BoolDom.defaultAnyToFalse();
-  R.Sat = true;
-  R.Seconds = Watch.seconds();
+  finishSharded(Sys, Sharded, Sat, R);
   return R;
+}
+
+/// Writes shard \p K's cache key into \p Key: every constraint's kind
+/// and shard-local variable ids (in CSR order), then the initial
+/// domains of the member variables. Ids are word-copied in host byte
+/// order — keys never leave the process.
+void buildShardKey(const ConstraintSystem &Sys, uint32_t K,
+                   const Workspace &W, std::string &Key) {
+  const auto Cons = Sys.shardConstraints(K);
+  const auto States = Sys.shardStates(K);
+  const auto Bools = Sys.shardBools(K);
+  constexpr size_t MaxPerConstraint = 1 + 3 * sizeof(uint32_t);
+  Key.resize(MaxPerConstraint * Cons.size() + States.size() + Bools.size());
+  char *P = &Key[0];
+  for (uint32_t CI : Cons) {
+    const Constraint &C = Sys.Cons[CI];
+    const bool IsEq = C.K == Constraint::Kind::Eq;
+    const uint32_t Ids[3] = {W.LocalState[C.S1], W.LocalState[C.S2],
+                             IsEq ? 0u : W.LocalBool[C.B]};
+    *P++ = static_cast<char>(C.K);
+    const size_t N = (IsEq ? 2 : 3) * sizeof(uint32_t);
+    std::memcpy(P, Ids, N);
+    P += N;
+  }
+  for (uint32_t S : States)
+    *P++ = static_cast<char>(Sys.StateDom.get(S));
+  for (uint32_t B : Bools)
+    *P++ = static_cast<char>(Sys.BoolDom.get(B));
+  Key.resize(static_cast<size_t>(P - Key.data()));
 }
 
 } // namespace
 
-unsigned solver::defaultSolverJobs() {
-  // Computed once: the env var is a process-level mode switch (CI runs
-  // the whole suite under AFL_SOLVER_JOBS=4), not a per-run knob.
-  static unsigned Cached = [] {
-    const char *Env = std::getenv("AFL_SOLVER_JOBS");
-    unsigned Jobs = 0;
-    if (Env && !parseCliUnsigned(Env, Jobs))
-      Jobs = 0;
-    return Jobs;
-  }();
-  return Cached;
-}
-
 SolveResult solver::solve(const ConstraintSystem &Sys,
                           const SolveOptions &Options) {
   Stopwatch Watch;
-
-  if (!Options.Simplify) {
-    SolveResult R = runCore(Sys, Options.PackedDomains);
-    R.Seconds = Watch.seconds();
-    return R;
-  }
-
-  if (Options.UseShards)
-    return solveSharded(Sys, Options, Watch);
-
-  SolveResult R;
-  Stopwatch Phase;
-  SimplifiedSystem Simp = simplify(Sys);
-  R.Simplify = Simp.Stats;
-  R.Simplify.SimplifySeconds = Phase.seconds();
-  if (Simp.Conflict) {
-    R.Sat = false;
-    R.Seconds = Watch.seconds();
-    return R;
-  }
-
-  unsigned Jobs = Options.Jobs;
-  if (Jobs == 0)
-    Jobs = ThreadPool::hardwareThreads();
-  if (Simp.Residual.numConstraints() < Options.ParallelMinConstraints)
-    Jobs = 1;
-
-  support::StateDomains RepDom;
-  support::BoolDomains BoolOut;
-  if (Jobs <= 1) {
-    // Sequential: solve the residual monolithically. Materializing the
-    // per-component systems only pays off when they run on separate
-    // threads, so here the components are merely counted for the
-    // statistics.
-    Phase.reset();
-    ComponentCount Counts = countComponents(Simp.Residual);
-    R.Simplify.Components = Counts.Components;
-    R.Simplify.LargestComponent = Counts.LargestConstraints;
-    R.Simplify.ThreadsUsed = 1;
-    R.Simplify.ComponentSeconds = Phase.seconds();
-
-    SolveResult Mono = runCore(Simp.Residual, Options.PackedDomains);
-    R.Propagations = Mono.Propagations;
-    R.Choices = Mono.Choices;
-    R.Backtracks = Mono.Backtracks;
-    if (!Mono.Sat) {
-      R.Sat = false;
-      R.Seconds = Watch.seconds();
-      return R;
-    }
-    Phase.reset();
-    RepDom = std::move(Mono.StateDom);
-    BoolOut = std::move(Mono.BoolDom);
-  } else {
-    Phase.reset();
-    ComponentSplit Split = splitComponents(Simp.Residual);
-    R.Simplify.Components = Split.Comps.size();
-    R.Simplify.LargestComponent = Split.LargestConstraints;
-    R.Simplify.ComponentSeconds = Phase.seconds();
-    R.Simplify.ThreadsUsed =
-        std::min<size_t>(Jobs, std::max<size_t>(Split.Comps.size(), 1));
-
-    std::vector<SolveResult> Comp;
-    bool Sat = solveComponents(Split, Comp, Jobs, Options.PackedDomains);
-    for (const SolveResult &C : Comp) {
-      R.Propagations += C.Propagations;
-      R.Choices += C.Choices;
-      R.Backtracks += C.Backtracks;
-    }
-    if (!Sat) {
-      R.Sat = false;
-      R.Seconds = Watch.seconds();
-      return R;
-    }
-    // Booleans not touched by any component keep their forced value or
-    // default to false below (no operation), exactly as the raw
-    // solver's final boolean sweep would set them.
-    Phase.reset();
-    RepDom = Simp.Residual.StateDom;
-    BoolOut = Simp.Residual.BoolDom;
-    for (size_t I = 0; I != Split.Comps.size(); ++I) {
-      const Component &CS = Split.Comps[I];
-      const SolveResult &CR = Comp[I];
-      for (size_t L = 0; L != CS.StateGlobal.size(); ++L)
-        RepDom.set(CS.StateGlobal[L], CR.StateDom.get(L));
-      for (size_t L = 0; L != CS.BoolGlobal.size(); ++L)
-        BoolOut.set(CS.BoolGlobal[L], CR.BoolDom.get(L));
-    }
-  }
-
-  // Reconstruction: map the representatives' solved domains back over
-  // the original variable space.
-  R.StateDom.clear();
-  R.StateDom.reserve(Sys.numStateVars());
-  for (size_t V = 0; V != Sys.numStateVars(); ++V)
-    R.StateDom.push_back(RepDom.get(Simp.StateRep[V]));
-  BoolOut.defaultAnyToFalse();
-  R.BoolDom = std::move(BoolOut);
-  R.Sat = true;
-  R.Simplify.ReconstructSeconds = Phase.seconds();
+  SolveResult R = Options.Simplify ? solveShards(Sys) : solveRaw(Sys);
   R.Seconds = Watch.seconds();
   return R;
 }
@@ -712,129 +504,67 @@ SolveResult solver::solve(const ConstraintSystem &Sys,
 SolveResult solver::solveCached(const ConstraintSystem &Sys,
                                 const SolveOptions &Options,
                                 ShardSolutionCache &Cache) {
-  if (!Options.Simplify || !Options.UseShards)
+  if (!Options.Simplify)
     return solve(Sys, Options);
 
   Stopwatch Watch;
   SolveResult R;
 
-  // Same up-front global check as solveSharded: an empty initial domain
-  // is a conflict even for a variable in no constraint.
+  // Same up-front global check as solve(): an empty initial domain is a
+  // conflict even for a variable in no constraint.
   if (Sys.StateDom.hasZeroEntry()) {
-    R.Sat = false;
     R.Seconds = Watch.seconds();
     return R;
   }
 
-  Stopwatch Phase;
-  const size_t NumShards = Sys.numShards();
-  ShardLocalIds Ids = buildShardLocalIds(Sys);
-  R.Simplify.ComponentSeconds = Phase.seconds();
+  // Every shard is its own group, so local ids are shard-local: the
+  // coordinates the content keys are written in.
+  const uint32_t NumShards = static_cast<uint32_t>(Sys.numShards());
+  std::vector<uint32_t> GroupStart(NumShards + 1);
+  std::iota(GroupStart.begin(), GroupStart.end(), 0u);
+  Workspace W;
+  const size_t Sharded = assignLocalIds(Sys, GroupStart, W);
 
   // Unsharded variables keep their initial domains; sharded slots are
   // overwritten from cache entries or fresh solves below.
   R.StateDom = Sys.StateDom;
   R.BoolDom = Sys.BoolDom;
 
-  bool Failed = false;
+  bool Sat = true;
   std::string Key;
-  auto Add32 = [&Key](uint32_t V) {
-    Key.push_back(static_cast<char>(V));
-    Key.push_back(static_cast<char>(V >> 8));
-    Key.push_back(static_cast<char>(V >> 16));
-    Key.push_back(static_cast<char>(V >> 24));
-  };
-
-  for (uint32_t K = 0; K != NumShards && !Failed; ++K) {
-    // The key is the shard's content in shard-local coordinates: every
-    // constraint's kind and local variable ids (in CSR order) plus the
-    // initial domains of the member variables. Identical keys mean
-    // identical subsystems up to the local->global renaming, and the
-    // solved local domains depend on nothing else.
-    Key.clear();
-    for (uint32_t CI : Sys.shardConstraints(K)) {
-      const Constraint &C = Sys.Cons[CI];
-      Key.push_back(static_cast<char>(C.K));
-      Add32(Ids.State[C.S1]);
-      Add32(Ids.State[C.S2]);
-      if (C.K != Constraint::Kind::Eq)
-        Add32(Ids.Bool[C.B]);
-    }
+  for (uint32_t K = 0; K != NumShards; ++K) {
+    // Identical keys mean identical subsystems up to the local->global
+    // renaming, and the solved local domains depend on nothing else.
+    buildShardKey(Sys, K, W, Key);
     const auto States = Sys.shardStates(K);
-    for (uint32_t V : States)
-      Key.push_back(static_cast<char>(Sys.StateDom.get(V)));
     const auto Bools = Sys.shardBools(K);
-    for (uint32_t V : Bools)
-      Key.push_back(static_cast<char>(Sys.BoolDom.get(V)));
-
-    auto Scatter = [&](const ShardSolutionCache::Entry &E) {
-      for (size_t L = 0; L != States.size(); ++L)
-        R.StateDom.set(States.begin()[L], E.StateDom[L]);
-      for (size_t L = 0; L != Bools.size(); ++L)
-        R.BoolDom.set(Bools.begin()[L], E.BoolDom[L]);
-    };
-
     auto It = Cache.Entries.find(Key);
     if (It != Cache.Entries.end()) {
       ++Cache.Hits;
-      if (!It->second.Sat) {
-        Failed = true;
-        break;
+    } else {
+      ++Cache.Misses;
+      ShardSolutionCache::Entry E;
+      E.Sat = solveGroup(Sys, K, K + 1, W, R);
+      if (E.Sat) {
+        E.StateDom.resize(States.size());
+        for (size_t L = 0; L != States.size(); ++L)
+          E.StateDom[L] = W.SD[W.StateRep[L]];
+        E.BoolDom.assign(W.BD.begin(), W.BD.end());
       }
-      Scatter(It->second);
-      continue;
+      It = Cache.Entries.emplace(Key, std::move(E)).first;
     }
-
-    ++Cache.Misses;
-    Stopwatch SW;
-    SimplifiedSystem Simp = simplifyShard(Sys, K, Ids);
-    Simp.Stats.SimplifySeconds = SW.seconds();
-    R.Simplify.accumulate(Simp.Stats);
-    R.Simplify.LargestComponent = std::max(
-        R.Simplify.LargestComponent, Simp.Residual.Cons.size());
-    ShardSolutionCache::Entry E;
-    if (Simp.Conflict) {
-      Cache.Entries.emplace(Key, std::move(E));
-      Failed = true;
+    const ShardSolutionCache::Entry &E = It->second;
+    if (!E.Sat) {
+      Sat = false;
       break;
     }
-    SolveResult CR = runCore(Simp.Residual, Options.PackedDomains);
-    R.Propagations += CR.Propagations;
-    R.Choices += CR.Choices;
-    R.Backtracks += CR.Backtracks;
-    if (!CR.Sat) {
-      Cache.Entries.emplace(Key, std::move(E));
-      Failed = true;
-      break;
-    }
-    E.Sat = true;
-    E.StateDom.resize(States.size());
     for (size_t L = 0; L != States.size(); ++L)
-      E.StateDom[L] = CR.StateDom.get(Simp.StateRep[L]);
-    E.BoolDom.resize(Bools.size());
+      R.StateDom.set(States.begin()[L], E.StateDom[L]);
     for (size_t L = 0; L != Bools.size(); ++L)
-      E.BoolDom[L] = CR.BoolDom.get(L);
-    Scatter(E);
-    Cache.Entries.emplace(Key, std::move(E));
+      R.BoolDom.set(Bools.begin()[L], E.BoolDom[L]);
   }
 
-  size_t Unsharded = Sys.numStateVars() - Ids.NumShardedStates;
-  R.Simplify.StateVarsBefore += Unsharded;
-  R.Simplify.StateVarsAfter += Unsharded;
-  R.Simplify.Components = NumShards;
-  R.Simplify.ThreadsUsed = 1;
-
-  if (Failed) {
-    R.Sat = false;
-    R.StateDom.clear();
-    R.BoolDom.clear();
-    R.Seconds = Watch.seconds();
-    return R;
-  }
-
-  // Booleans in no shard default to false, matching solveSharded.
-  R.BoolDom.defaultAnyToFalse();
-  R.Sat = true;
+  finishSharded(Sys, Sharded, Sat, R);
   R.Seconds = Watch.seconds();
   return R;
 }

@@ -17,16 +17,16 @@
 /// Remaining undetermined booleans default to false (no operation). The
 /// conservative completion is a witness that the system is satisfiable.
 ///
-/// By default the system is *preprocessed* first (src/solver/Simplify.h):
-/// equalities are collapsed by union-find, forced triples eliminated,
-/// duplicates dropped, and the constraint graph is decomposed into
-/// connected components solved independently — in parallel above a size
-/// threshold. When the input arrives pre-sharded (ConstraintSystem
-/// finalizes its emission-time union-find into component shards), the
-/// decomposition is free: each shard is simplified and solved on its
-/// own, and the solver never runs component discovery. The solution is
-/// then mapped back to the original variable space, so callers observe
-/// the same domains the raw solver produces (docs/SOLVER.md).
+/// The production solve runs shard by shard: the input's emission-time
+/// shards (its connected components, finalized by the generator's
+/// union-find) are grouped into runs of about 8k constraints, and each
+/// group is simplified (src/solver/Simplify.h: equalities collapsed by
+/// union-find, forced triples eliminated, duplicates dropped) straight
+/// into a per-call workspace and solved there over byte-lane domains.
+/// The solution is then mapped back to the original variable space, so
+/// callers observe exactly the domains the raw §4.3 engine produces on
+/// the unsimplified system — the oracle (`--no-simplify`), which runs
+/// on the same core (docs/SOLVER.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,46 +38,17 @@
 
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 namespace afl {
 namespace solver {
 
-/// Default for SolveOptions::Jobs: the AFL_SOLVER_JOBS environment
-/// variable when set (a process-level mode switch, mirroring
-/// AFL_CLOSURE_JOBS — CI runs the whole suite under AFL_SOLVER_JOBS=4),
-/// else 0 (all hardware threads, subject to the size gate).
-unsigned defaultSolverJobs();
-
-/// Knobs for the preprocessing layer; the defaults are what production
-/// callers want, the ablation switches back them out (`aflc
-/// --no-simplify`, `--solver-jobs N`, `--no-shards`).
+/// The one switch: the production path, or the raw oracle (`aflc
+/// --no-simplify`). Both produce bit-identical domains.
 struct SolveOptions {
-  /// Run the simplification + component decomposition before solving.
+  /// Simplify and solve shard group by shard group. When false, the
+  /// raw §4.3 engine solves the unsimplified system as one.
   bool Simplify = true;
-  /// Consume the emission-time shards of the input system (its
-  /// connected components, finalized by the generator's union-find):
-  /// simplify and solve per shard, skipping the solver's own
-  /// component-discovery pass. When false, the pre-sharding monolithic
-  /// path runs: one global simplify, then component discovery on the
-  /// residual. Both produce bit-identical solutions (docs/SOLVER.md);
-  /// the monolithic path is kept for differential testing and for
-  /// callers that mutate a system after first solving it.
-  bool UseShards = true;
-  /// Worker threads for the per-component solve; 0 = all hardware
-  /// threads, 1 = solve components sequentially.
-  unsigned Jobs = defaultSolverJobs();
-  /// Only solve components in parallel when the system has at least this
-  /// many constraints (thread startup costs more than small solves). The
-  /// monolithic path gates on the post-simplification residual size, the
-  /// sharded path on the original size (it has no global residual).
-  size_t ParallelMinConstraints = 2048;
-  /// Run the core propagation loop over the bit-packed domain arrays
-  /// (support/PackedDomains.h). When false, the solver unpacks the
-  /// domains into the historical byte-per-variable arrays and runs the
-  /// identical algorithm over them — the differential oracle and bench
-  /// baseline (`aflc --no-packed-domains`). Both produce bit-identical
-  /// solutions.
-  bool PackedDomains = true;
 };
 
 struct SolveResult {
@@ -85,8 +56,7 @@ struct SolveResult {
   /// Final domains (singletons for booleans when Sat), indexed by the
   /// *original* variable ids regardless of preprocessing. Bit-packed
   /// like the input system's domains (read with get()/operator[]); the
-  /// byte-domain solver path packs its result on the way out, so the
-  /// representation here is mode-independent.
+  /// solver works on byte lanes and packs its result on the way out.
   support::StateDomains StateDom;
   support::BoolDomains BoolDom;
   /// Statistics.
@@ -130,15 +100,15 @@ struct ShardSolutionCache {
   uint64_t Misses = 0;
 };
 
-/// Like solve() with Simplify + UseShards, but each shard is first looked
-/// up in \p Cache and only cache misses are simplified and solved (new
-/// solutions are inserted). Produces bit-identical domains to solve():
-/// shards share no variables, so per-shard resolution is the exact
-/// concatenation of the grouped path (docs/SOLVER.md). Work counters
-/// (propagations, simplify stats) cover only the shards actually solved.
-/// Falls back to plain solve() when Options disable Simplify or
-/// UseShards (the cache is keyed on shard content, which only exists on
-/// the sharded path).
+/// Like solve(), but each shard is first looked up in \p Cache and only
+/// cache misses are simplified and solved (on one workspace, like the
+/// groups of solve(); new solutions are inserted). Produces
+/// bit-identical domains to solve(): shards share no variables, so
+/// per-shard resolution is the exact concatenation of the grouped path
+/// (docs/SOLVER.md). Work counters (propagations, simplify stats) cover
+/// only the shards actually solved. Falls back to plain solve() when
+/// Options disable Simplify (the cache is keyed on shard content, which
+/// only exists on the sharded path).
 SolveResult solveCached(const constraints::ConstraintSystem &Sys,
                         const SolveOptions &Options,
                         ShardSolutionCache &Cache);

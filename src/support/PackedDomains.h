@@ -5,9 +5,9 @@
 /// is a subset of {U, A, D} — three bits — and a boolean domain a subset
 /// of {false, true} — two bits — yet the byte-per-variable
 /// representation spent 8 bits on each and made every full-array
-/// operation (the copy into a SolverImpl, the empty-domain scan, the
-/// default-to-false sweep, the solution compare) touch 8x the cache
-/// lines it needed to.
+/// operation at rest (copying a system's or a result's domains, the
+/// empty-domain scan, the default-to-false sweep, the solution compare)
+/// touch 8x the cache lines it needed to.
 ///
 /// `PackedArray<Bits>` stores `64 / Bits` entries per uint64 word, lanes
 /// at bit offsets `lane * Bits`, never straddling a word boundary (for
@@ -30,8 +30,8 @@
 ///     per word-op.
 ///
 /// `pack()`/`unpack()` convert to and from the byte-per-entry layout;
-/// the byte-domain solver path (the differential oracle and bench
-/// baseline behind `--no-packed-domains`) round-trips through them.
+/// the raw solver oracle round-trips through them (the production
+/// solver loads and scatters lanes one at a time).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -183,8 +183,6 @@ private:
 using StateDomains = PackedArray<3>;
 /// {false, true} subsets: 2 bits per variable, 32 per word.
 using BoolDomains = PackedArray<2>;
-/// Plain bitsets (solver queue/candidate membership): 64 per word.
-using PackedBits = PackedArray<1>;
 
 } // namespace support
 } // namespace afl

@@ -312,6 +312,17 @@ TEST(ServerRobustness, EditValidationAndRevert) {
       call(S, "{\"method\":\"edit\",\"params\":{\"doc\":" + DocStr +
                   ",\"start\":0,\"length\":-4,\"text\":\"2\"}}");
   EXPECT_FALSE(okOf(R2));
+  // A length whose end offset overflows int64: an error naming the
+  // requested span, never a wrapped-around sum.
+  json::Value RBig =
+      call(S, "{\"method\":\"edit\",\"params\":{\"doc\":" + DocStr +
+                  ",\"start\":1,\"length\":9223372036854775807,"
+                  "\"text\":\"2\"}}");
+  ASSERT_FALSE(okOf(RBig));
+  const std::string BigError = RBig.find("error")->asString();
+  EXPECT_NE(BigError.find("9223372036854775807"), std::string::npos)
+      << BigError;
+  EXPECT_EQ(BigError.find('-'), std::string::npos) << BigError;
   // Missing text.
   json::Value R3 =
       call(S, "{\"method\":\"edit\",\"params\":{\"doc\":" + DocStr +

@@ -1,11 +1,14 @@
-// Unit tests for the solver preprocessing layer: union-find collapse of
-// Eq constraints, forced-boolean elimination, triple deduplication,
-// early conflict detection, and the connected-component decomposition.
+// Unit tests for the solver preprocessing layer, observed through the
+// production solve and its statistics: union-find collapse of Eq
+// constraints, forced-boolean elimination, triple deduplication, early
+// conflict detection, and the emission-time shard index the solve
+// consumes (checked against a test-local union-find oracle).
 
 #include "constraints/ConstraintSystem.h"
-#include "solver/Components.h"
-#include "solver/Simplify.h"
 #include "solver/Solver.h"
+
+#include <algorithm>
+#include <map>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,61 @@ using namespace afl::solver;
 
 namespace {
 
+/// Test-local connected-component oracle: a union-find over the state
+/// and boolean variables (a triple connects its boolean to both
+/// endpoints), components numbered by smallest member state, members
+/// and constraints ascending. Only variables some constraint mentions
+/// belong to a component.
+struct OracleComponent {
+  std::vector<StateVarId> States;
+  std::vector<BoolVarId> Bools;
+  std::vector<uint32_t> Cons;
+};
+
+std::vector<OracleComponent> splitComponents(const ConstraintSystem &Sys) {
+  const size_t NS = Sys.numStateVars(), NB = Sys.numBoolVars();
+  std::vector<uint32_t> Parent(NS + NB);
+  for (uint32_t I = 0; I != Parent.size(); ++I)
+    Parent[I] = I;
+  auto Find = [&](uint32_t V) {
+    while (Parent[V] != V)
+      V = Parent[V] = Parent[Parent[V]];
+    return V;
+  };
+  std::vector<bool> Occurs(NS + NB, false);
+  for (const Constraint &C : Sys.Cons) {
+    Parent[Find(C.S2)] = Find(C.S1);
+    Occurs[C.S1] = Occurs[C.S2] = true;
+    if (C.K != Constraint::Kind::Eq) {
+      Parent[Find(static_cast<uint32_t>(NS + C.B))] = Find(C.S1);
+      Occurs[NS + C.B] = true;
+    }
+  }
+  std::vector<OracleComponent> Comps;
+  std::map<uint32_t, size_t> CompOfRoot;
+  auto CompOf = [&](uint32_t V) -> OracleComponent & {
+    auto [It, New] = CompOfRoot.emplace(Find(V), Comps.size());
+    if (New)
+      Comps.emplace_back();
+    return Comps[It->second];
+  };
+  for (uint32_t S = 0; S != NS; ++S)
+    if (Occurs[S])
+      CompOf(S).States.push_back(S);
+  for (uint32_t B = 0; B != NB; ++B)
+    if (Occurs[NS + B])
+      CompOf(static_cast<uint32_t>(NS + B)).Bools.push_back(B);
+  for (uint32_t CI = 0; CI != Sys.Cons.size(); ++CI)
+    CompOf(Sys.Cons[CI].S1).Cons.push_back(CI);
+  return Comps;
+}
+
+SolveResult solveRaw(const ConstraintSystem &Sys) {
+  SolveOptions Raw;
+  Raw.Simplify = false;
+  return solve(Sys, Raw);
+}
+
 TEST(Simplify, UnionFindCollapsesEqChains) {
   ConstraintSystem Sys;
   StateVarId S1 = Sys.newState(StA);
@@ -22,17 +80,18 @@ TEST(Simplify, UnionFindCollapsesEqChains) {
   StateVarId S3 = Sys.newState();
   Sys.addEq(S1, S2);
   Sys.addEq(S2, S3);
-  SimplifiedSystem Simp = simplify(Sys);
-  ASSERT_FALSE(Simp.Conflict);
-  EXPECT_EQ(Simp.Stats.EqRemoved, 2u);
-  EXPECT_EQ(Simp.Stats.StateVarsBefore, 3u);
-  EXPECT_EQ(Simp.Stats.StateVarsAfter, 1u);
-  EXPECT_EQ(Simp.Residual.numConstraints(), 0u);
-  // All three map to the same representative, whose domain is the
-  // intersection of the member domains.
-  EXPECT_EQ(Simp.StateRep[S1], Simp.StateRep[S2]);
-  EXPECT_EQ(Simp.StateRep[S2], Simp.StateRep[S3]);
-  EXPECT_EQ(Simp.Residual.StateDom[Simp.StateRep[S1]], StA);
+  SolveResult R = solve(Sys);
+  ASSERT_TRUE(R.Sat);
+  EXPECT_EQ(R.Simplify.EqRemoved, 2u);
+  EXPECT_EQ(R.Simplify.StateVarsBefore, 3u);
+  EXPECT_EQ(R.Simplify.StateVarsAfter, 1u);
+  EXPECT_EQ(R.Simplify.ConstraintsAfter, 0u);
+  // All three share one representative, whose domain is the
+  // intersection of the member domains — with nothing left to solve.
+  EXPECT_EQ(R.StateDom[S1], StA);
+  EXPECT_EQ(R.StateDom[S2], StA);
+  EXPECT_EQ(R.StateDom[S3], StA);
+  EXPECT_EQ(R.Propagations, 0u);
 }
 
 TEST(Simplify, EqRemovedToZeroAlways) {
@@ -49,10 +108,12 @@ TEST(Simplify, EqRemovedToZeroAlways) {
     }
     Prev = Next;
   }
-  SimplifiedSystem Simp = simplify(Sys);
-  ASSERT_FALSE(Simp.Conflict);
-  EXPECT_EQ(Simp.Residual.numConstraintsOfKind(Constraint::Kind::Eq), 0u);
-  EXPECT_EQ(Simp.Stats.EqRemoved, 25u);
+  SolveResult R = solve(Sys);
+  ASSERT_TRUE(R.Sat);
+  EXPECT_EQ(R.Simplify.EqRemoved, 25u);
+  // Every residual constraint is one of the 25 triples.
+  EXPECT_LE(R.Simplify.ConstraintsAfter, 25u);
+  EXPECT_EQ(R.StateDom, solveRaw(Sys).StateDom);
 }
 
 TEST(Simplify, EqConflictDetectedEarly) {
@@ -60,10 +121,11 @@ TEST(Simplify, EqConflictDetectedEarly) {
   StateVarId S1 = Sys.newState(StA);
   StateVarId S2 = Sys.newState(StD);
   Sys.addEq(S1, S2);
-  SimplifiedSystem Simp = simplify(Sys);
-  EXPECT_TRUE(Simp.Conflict);
   SolveResult R = solve(Sys);
   EXPECT_FALSE(R.Sat);
+  // Found by the union-find, before the engine ran a single step.
+  EXPECT_EQ(R.Simplify.EqRemoved, 1u);
+  EXPECT_EQ(R.Propagations, 0u);
 }
 
 TEST(Simplify, EmptyInitialDomainIsConflict) {
@@ -73,8 +135,8 @@ TEST(Simplify, EmptyInitialDomainIsConflict) {
   StateVarId S = Sys.newState();
   Sys.restrictState(S, StA);
   Sys.restrictState(S, StD); // A & D = empty
-  SimplifiedSystem Simp = simplify(Sys);
-  EXPECT_TRUE(Simp.Conflict);
+  EXPECT_FALSE(solve(Sys).Sat);
+  EXPECT_FALSE(solveRaw(Sys).Sat);
 }
 
 TEST(Simplify, DedupIdenticalTriples) {
@@ -90,10 +152,11 @@ TEST(Simplify, DedupIdenticalTriples) {
   Sys.addEq(B1, B2);
   Sys.addAllocTriple(A1, B, B1);
   Sys.addAllocTriple(A2, B, B2);
-  SimplifiedSystem Simp = simplify(Sys);
-  ASSERT_FALSE(Simp.Conflict);
-  EXPECT_EQ(Simp.Stats.DupTriplesRemoved, 1u);
-  EXPECT_EQ(Simp.Residual.numConstraints(), 1u);
+  SolveResult R = solve(Sys);
+  ASSERT_TRUE(R.Sat);
+  EXPECT_EQ(R.Simplify.DupTriplesRemoved, 1u);
+  EXPECT_EQ(R.Simplify.ConstraintsAfter, 1u);
+  EXPECT_EQ(R.BoolDom, solveRaw(Sys).BoolDom);
 }
 
 TEST(Simplify, ForcedTrueTripleEliminated) {
@@ -104,15 +167,14 @@ TEST(Simplify, ForcedTrueTripleEliminated) {
   StateVarId S2 = Sys.newState(StA);
   BoolVarId B = Sys.newBool();
   Sys.addAllocTriple(S1, B, S2);
-  SimplifiedSystem Simp = simplify(Sys);
-  ASSERT_FALSE(Simp.Conflict);
-  EXPECT_EQ(Simp.Stats.BoolsForced, 1u);
-  EXPECT_EQ(Simp.Stats.ForcedTriplesRemoved, 1u);
-  EXPECT_EQ(Simp.Residual.numConstraints(), 0u);
-  EXPECT_EQ(Simp.Residual.BoolDom[B], BTrue);
   SolveResult R = solve(Sys);
   ASSERT_TRUE(R.Sat);
+  EXPECT_EQ(R.Simplify.BoolsForced, 1u);
+  EXPECT_EQ(R.Simplify.ForcedTriplesRemoved, 1u);
+  EXPECT_EQ(R.Simplify.ConstraintsAfter, 0u);
   EXPECT_TRUE(R.boolValue(B));
+  // Forced, not chosen.
+  EXPECT_EQ(R.Choices, 0u);
 }
 
 TEST(Simplify, SameRepresentativeTripleForcesFalse) {
@@ -124,13 +186,12 @@ TEST(Simplify, SameRepresentativeTripleForcesFalse) {
   BoolVarId B = Sys.newBool();
   Sys.addEq(S1, S2);
   Sys.addAllocTriple(S1, B, S2);
-  SimplifiedSystem Simp = simplify(Sys);
-  ASSERT_FALSE(Simp.Conflict);
-  EXPECT_EQ(Simp.Residual.BoolDom[B], BFalse);
-  EXPECT_EQ(Simp.Residual.numConstraints(), 0u);
   SolveResult R = solve(Sys);
   ASSERT_TRUE(R.Sat);
-  EXPECT_FALSE(R.boolValue(B));
+  EXPECT_EQ(R.BoolDom[B], BFalse);
+  EXPECT_EQ(R.Simplify.ConstraintsAfter, 0u);
+  EXPECT_EQ(R.Simplify.BoolsForced, 1u);
+  EXPECT_EQ(R.Choices, 0u);
 }
 
 TEST(Simplify, ForcedFalseCascadesIntoUnion) {
@@ -142,11 +203,13 @@ TEST(Simplify, ForcedFalseCascadesIntoUnion) {
   StateVarId S2 = Sys.newState(static_cast<uint8_t>(StA | StD));
   BoolVarId B = Sys.newBool();
   Sys.addAllocTriple(S1, B, S2);
-  SimplifiedSystem Simp = simplify(Sys);
-  ASSERT_FALSE(Simp.Conflict);
-  EXPECT_EQ(Simp.StateRep[S1], Simp.StateRep[S2]);
-  EXPECT_EQ(Simp.Residual.StateDom[Simp.StateRep[S1]], StA);
-  EXPECT_EQ(Simp.Residual.BoolDom[B], BFalse);
+  SolveResult R = solve(Sys);
+  ASSERT_TRUE(R.Sat);
+  EXPECT_EQ(R.Simplify.StateVarsAfter, 1u);
+  EXPECT_EQ(R.StateDom[S1], StA);
+  EXPECT_EQ(R.StateDom[S2], StA);
+  EXPECT_EQ(R.BoolDom[B], BFalse);
+  EXPECT_EQ(R.Choices, 0u);
 }
 
 TEST(Components, IndependentChainsSplit) {
@@ -161,11 +224,16 @@ TEST(Components, IndependentChainsSplit) {
   StateVarId B2 = Sys.newState(StAny);
   BoolVarId BB = Sys.newBool();
   Sys.addDeallocTriple(B1, BB, B2);
-  ComponentSplit Split = splitComponents(Sys);
-  ASSERT_EQ(Split.Comps.size(), 2u);
-  EXPECT_EQ(Split.Comps[0].Sys.numConstraints(), 1u);
-  EXPECT_EQ(Split.Comps[1].Sys.numConstraints(), 1u);
-  EXPECT_EQ(Split.LargestConstraints, 1u);
+  std::vector<OracleComponent> Split = splitComponents(Sys);
+  ASSERT_EQ(Split.size(), 2u);
+  EXPECT_EQ(Split[0].Cons.size(), 1u);
+  EXPECT_EQ(Split[1].Cons.size(), 1u);
+  ASSERT_EQ(Sys.numShards(), 2u);
+  EXPECT_EQ(Sys.largestShardConstraints(), 1u);
+  SolveResult R = solve(Sys);
+  ASSERT_TRUE(R.Sat);
+  EXPECT_EQ(R.Simplify.Components, 2u);
+  EXPECT_LE(R.Simplify.LargestComponent, 1u);
 }
 
 TEST(Components, SharedBooleanMergesComponents) {
@@ -177,8 +245,9 @@ TEST(Components, SharedBooleanMergesComponents) {
   BoolVarId B = Sys.newBool();
   Sys.addAllocTriple(A1, B, A2);
   Sys.addAllocTriple(B1, B, B2);
-  ComponentSplit Split = splitComponents(Sys);
-  EXPECT_EQ(Split.Comps.size(), 1u);
+  EXPECT_EQ(splitComponents(Sys).size(), 1u);
+  EXPECT_EQ(Sys.numShards(), 1u);
+  EXPECT_EQ(solve(Sys).Simplify.Components, 1u);
 }
 
 TEST(Components, UnconstrainedVariablesBelongToNoComponent) {
@@ -189,15 +258,23 @@ TEST(Components, UnconstrainedVariablesBelongToNoComponent) {
   BoolVarId B = Sys.newBool();
   Sys.newBool(); // unconstrained boolean
   Sys.addAllocTriple(S1, B, S2);
-  ComponentSplit Split = splitComponents(Sys);
-  ASSERT_EQ(Split.Comps.size(), 1u);
-  EXPECT_EQ(Split.Comps[0].StateGlobal.size(), 2u);
-  EXPECT_EQ(Split.Comps[0].BoolGlobal.size(), 1u);
+  std::vector<OracleComponent> Split = splitComponents(Sys);
+  ASSERT_EQ(Split.size(), 1u);
+  EXPECT_EQ(Split[0].States.size(), 2u);
+  EXPECT_EQ(Split[0].Bools.size(), 1u);
+  ASSERT_EQ(Sys.numShards(), 1u);
+  EXPECT_EQ(Sys.shardStates(0).size(), 2u);
+  EXPECT_EQ(Sys.shardBools(0).size(), 1u);
+  // The unconstrained state is its own representative on top of the
+  // shard's.
+  SolveResult R = solve(Sys);
+  ASSERT_TRUE(R.Sat);
+  EXPECT_EQ(R.Simplify.StateVarsBefore, 3u);
 }
 
 TEST(Components, SingleComponentFallback) {
-  // A single-component system solved with aggressive parallel options
-  // produces the same answer as the default path.
+  // A single-component system: the grouped solve, the per-shard cached
+  // solve and the raw engine agree.
   ConstraintSystem Sys;
   StateVarId Prev = Sys.newState(StU);
   std::vector<BoolVarId> Bs;
@@ -209,26 +286,28 @@ TEST(Components, SingleComponentFallback) {
     Prev = Next;
   }
   Sys.restrictState(Prev, StA);
-  SolveOptions Par;
-  Par.Jobs = 8;
-  Par.ParallelMinConstraints = 0;
-  SolveResult RPar = solve(Sys, Par);
+  ShardSolutionCache Cache;
+  SolveResult RCached = solveCached(Sys, SolveOptions(), Cache);
   SolveResult RDef = solve(Sys);
-  ASSERT_TRUE(RPar.Sat);
-  EXPECT_EQ(RPar.Simplify.Components, 1u);
-  EXPECT_EQ(RPar.StateDom, RDef.StateDom);
-  EXPECT_EQ(RPar.BoolDom, RDef.BoolDom);
+  SolveResult RRaw = solveRaw(Sys);
+  ASSERT_TRUE(RDef.Sat);
+  EXPECT_EQ(RDef.Simplify.Components, 1u);
+  EXPECT_EQ(RCached.StateDom, RDef.StateDom);
+  EXPECT_EQ(RCached.BoolDom, RDef.BoolDom);
+  EXPECT_EQ(RRaw.StateDom, RDef.StateDom);
+  EXPECT_EQ(RRaw.BoolDom, RDef.BoolDom);
   // Exactly one (late) allocation either way.
-  EXPECT_TRUE(RPar.BoolDom[Bs.back()] == BTrue);
+  EXPECT_TRUE(RDef.BoolDom[Bs.back()] == BTrue);
 }
 
 /// A small multi-shard fixture: N disjoint alloc chains, each pinned to
-/// end in A so the solve is forced to pick the late allocation.
+/// end in A so the solve is forced to pick the late allocation. Chain C
+/// has Len + C links, so no two shards are identical.
 ConstraintSystem chainsSystem(int Chains, int Len) {
   ConstraintSystem Sys;
   for (int Chain = 0; Chain != Chains; ++Chain) {
     StateVarId Prev = Sys.newState(StU);
-    for (int I = 0; I != Len; ++I) {
+    for (int I = 0; I != Len + Chain; ++I) {
       StateVarId Next = Sys.newState();
       BoolVarId B = Sys.newBool();
       if (I % 3 == 2)
@@ -242,53 +321,57 @@ ConstraintSystem chainsSystem(int Chains, int Len) {
   return Sys;
 }
 
-void expectSameConstraint(const Constraint &A, const Constraint &B) {
-  EXPECT_EQ(A.K, B.K);
-  EXPECT_EQ(A.S1, B.S1);
-  EXPECT_EQ(A.S2, B.S2);
-  EXPECT_EQ(A.B, B.B);
+/// Shard \p K of \p Sys rebuilt as a system of its own, in shard-local
+/// ids (rank within the shard).
+ConstraintSystem materializeShard(const ConstraintSystem &Sys, uint32_t K) {
+  ConstraintSystem Out;
+  std::map<uint32_t, uint32_t> LocalState, LocalBool;
+  for (uint32_t S : Sys.shardStates(K))
+    LocalState[S] = Out.newState(Sys.StateDom.get(S));
+  for (uint32_t B : Sys.shardBools(K))
+    LocalBool[B] = Out.newBool(Sys.BoolDom.get(B));
+  for (uint32_t CI : Sys.shardConstraints(K)) {
+    const Constraint &C = Sys.Cons[CI];
+    switch (C.K) {
+    case Constraint::Kind::Eq:
+      Out.addEq(LocalState[C.S1], LocalState[C.S2]);
+      break;
+    case Constraint::Kind::AllocTriple:
+      Out.addAllocTriple(LocalState[C.S1], LocalBool[C.B], LocalState[C.S2]);
+      break;
+    case Constraint::Kind::DeallocTriple:
+      Out.addDeallocTriple(LocalState[C.S1], LocalBool[C.B],
+                           LocalState[C.S2]);
+      break;
+    }
+  }
+  return Out;
 }
 
 TEST(Shards, EmissionShardsMatchSplitComponents) {
   // The emission-time union-find must finalize into exactly the
-  // components splitComponents discovers, in the same deterministic
-  // order (ascending smallest state variable) with the same ascending
-  // member lists.
-  ConstraintSystem Sys = chainsSystem(7, 9);
-  ComponentSplit Split = splitComponents(Sys);
-  ASSERT_EQ(Sys.numShards(), Split.Comps.size());
-  for (uint32_t K = 0; K != Sys.numShards(); ++K) {
-    const Component &C = Split.Comps[K];
-    ConstraintSystem::OccRange States = Sys.shardStates(K);
-    ConstraintSystem::OccRange Bools = Sys.shardBools(K);
-    ASSERT_EQ(States.size(), C.StateGlobal.size());
-    ASSERT_EQ(Bools.size(), C.BoolGlobal.size());
-    EXPECT_TRUE(std::equal(States.begin(), States.end(),
-                           C.StateGlobal.begin()));
-    EXPECT_TRUE(std::equal(Bools.begin(), Bools.end(),
-                           C.BoolGlobal.begin()));
-    EXPECT_EQ(Sys.shardConstraints(K).size(), C.Sys.numConstraints());
-  }
-  EXPECT_EQ(Sys.largestShardConstraints(), Split.LargestConstraints);
-}
-
-TEST(Shards, UntrackedRebuildMatchesIncremental) {
-  // disableConnectivityTracking() skips the per-constraint union-find;
-  // ensureShards then rebuilds it in one batch pass. Both routes must
-  // produce identical CSR tables.
-  ConstraintSystem Tracked = chainsSystem(5, 8);
-  ConstraintSystem Scratch = chainsSystem(5, 8);
-  Scratch.disableConnectivityTracking();
-  ASSERT_EQ(Tracked.numShards(), Scratch.numShards());
-  for (uint32_t K = 0; K != Tracked.numShards(); ++K) {
-    ConstraintSystem::OccRange A = Tracked.shardStates(K);
-    ConstraintSystem::OccRange B = Scratch.shardStates(K);
-    ASSERT_EQ(A.size(), B.size());
-    EXPECT_TRUE(std::equal(A.begin(), A.end(), B.begin()));
-    ConstraintSystem::OccRange CA = Tracked.shardConstraints(K);
-    ConstraintSystem::OccRange CB = Scratch.shardConstraints(K);
-    ASSERT_EQ(CA.size(), CB.size());
-    EXPECT_TRUE(std::equal(CA.begin(), CA.end(), CB.begin()));
+  // components the oracle discovers, in the same deterministic order
+  // (ascending smallest state variable) with the same ascending member
+  // and constraint lists.
+  for (const ConstraintSystem &Sys :
+       {chainsSystem(7, 9), chainsSystem(1, 4), chainsSystem(5, 8)}) {
+    std::vector<OracleComponent> Split = splitComponents(Sys);
+    ASSERT_EQ(Sys.numShards(), Split.size());
+    size_t Largest = 0;
+    for (uint32_t K = 0; K != Sys.numShards(); ++K) {
+      const OracleComponent &C = Split[K];
+      ConstraintSystem::OccRange States = Sys.shardStates(K);
+      ConstraintSystem::OccRange Bools = Sys.shardBools(K);
+      ConstraintSystem::OccRange Cons = Sys.shardConstraints(K);
+      ASSERT_EQ(States.size(), C.States.size());
+      ASSERT_EQ(Bools.size(), C.Bools.size());
+      ASSERT_EQ(Cons.size(), C.Cons.size());
+      EXPECT_TRUE(std::equal(States.begin(), States.end(), C.States.begin()));
+      EXPECT_TRUE(std::equal(Bools.begin(), Bools.end(), C.Bools.begin()));
+      EXPECT_TRUE(std::equal(Cons.begin(), Cons.end(), C.Cons.begin()));
+      Largest = std::max(Largest, C.Cons.size());
+    }
+    EXPECT_EQ(Sys.largestShardConstraints(), Largest);
   }
 }
 
@@ -326,57 +409,70 @@ TEST(Shards, SelfTripleFormsSingletonShard) {
 }
 
 TEST(Shards, SimplifyShardMatchesMaterializedSimplify) {
-  // simplifyShard consumes the CSR index in place; its contract is
-  // bit-identical output to simplify() over the materialized component.
+  // The kernel simplifies a shard in place, straight off the CSR index;
+  // its contract is the answer and the statistics of simplifying and
+  // solving the materialized shard as a system of its own.
   ConstraintSystem Sys = chainsSystem(6, 7);
-  ShardLocalIds Ids = buildShardLocalIds(Sys);
+  SolveResult Whole = solve(Sys);
+  ASSERT_TRUE(Whole.Sat);
+  SimplifyStats Sum;
+  uint64_t Propagations = 0;
   for (uint32_t K = 0; K != Sys.numShards(); ++K) {
-    SimplifiedSystem Direct = simplifyShard(Sys, K, Ids);
-    SimplifiedSystem Mat = simplify(materializeShard(Sys, K, Ids).Sys);
-    ASSERT_EQ(Direct.Conflict, Mat.Conflict);
-    ASSERT_EQ(Direct.Residual.numConstraints(), Mat.Residual.numConstraints());
-    for (size_t I = 0; I != Direct.Residual.Cons.size(); ++I)
-      expectSameConstraint(Direct.Residual.Cons[I], Mat.Residual.Cons[I]);
-    EXPECT_EQ(Direct.Residual.StateDom, Mat.Residual.StateDom);
-    EXPECT_EQ(Direct.Residual.BoolDom, Mat.Residual.BoolDom);
-    EXPECT_EQ(Direct.StateRep, Mat.StateRep);
+    ConstraintSystem Part = materializeShard(Sys, K);
+    SolveResult R = solve(Part);
+    ASSERT_TRUE(R.Sat);
+    EXPECT_EQ(R.Simplify.Components, 1u);
+    Sum.accumulate(R.Simplify);
+    Propagations += R.Propagations;
+    uint32_t L = 0;
+    for (uint32_t S : Sys.shardStates(K))
+      EXPECT_EQ(Whole.StateDom[S], R.StateDom[L++]);
+    L = 0;
+    for (uint32_t B : Sys.shardBools(K))
+      EXPECT_EQ(Whole.BoolDom[B], R.BoolDom[L++]);
   }
+  EXPECT_EQ(Whole.Simplify.StateVarsAfter, Sum.StateVarsAfter);
+  EXPECT_EQ(Whole.Simplify.ConstraintsAfter, Sum.ConstraintsAfter);
+  EXPECT_EQ(Whole.Simplify.EqRemoved, Sum.EqRemoved);
+  EXPECT_EQ(Whole.Simplify.BoolsForced, Sum.BoolsForced);
+  EXPECT_EQ(Whole.Simplify.LargestComponent, Sum.LargestComponent);
+  EXPECT_EQ(Whole.Propagations, Propagations);
 }
 
 TEST(Shards, SimplifyShardRangeIsConcatenation) {
-  // A contiguous range of shards simplifies to the exact concatenation
-  // of the members' individual simplifications: residual constraints in
-  // member order with representative ids offset by the preceding
-  // members' representative counts, and boolean ids offset by the
-  // preceding members' shard-local boolean counts.
+  // A contiguous range of shards simplifies and solves as the exact
+  // concatenation of its members: the grouped solve (all six shards in
+  // one group) does precisely the per-shard solves' work, counter for
+  // counter, and reaches the same answer.
   ConstraintSystem Sys = chainsSystem(6, 7);
-  ShardLocalIds Ids = buildShardLocalIds(Sys);
-  const uint32_t N = static_cast<uint32_t>(Sys.numShards());
-  ASSERT_GT(N, 2u);
-  SimplifiedSystem Whole = simplifyShardRange(Sys, 0, N, Ids);
-  ASSERT_FALSE(Whole.Conflict);
-  size_t ConsAt = 0, RepOff = 0, BoolOff = 0;
-  for (uint32_t K = 0; K != N; ++K) {
-    SimplifiedSystem Part = simplifyShard(Sys, K, Ids);
-    ASSERT_FALSE(Part.Conflict);
-    ASSERT_LE(ConsAt + Part.Residual.Cons.size(), Whole.Residual.Cons.size());
-    for (const Constraint &C : Part.Residual.Cons) {
-      Constraint Shifted = C;
-      Shifted.S1 += static_cast<StateVarId>(RepOff);
-      Shifted.S2 += static_cast<StateVarId>(RepOff);
-      Shifted.B += static_cast<BoolVarId>(BoolOff);
-      expectSameConstraint(Whole.Residual.Cons[ConsAt++], Shifted);
-    }
-    RepOff += Part.Residual.numStateVars();
-    BoolOff += Sys.shardBools(K).size();
-  }
-  EXPECT_EQ(ConsAt, Whole.Residual.Cons.size());
-  EXPECT_EQ(RepOff, Whole.Residual.numStateVars());
+  ASSERT_GT(Sys.numShards(), 2u);
+  SolveResult Grouped = solve(Sys);
+  ShardSolutionCache Cache;
+  SolveResult PerShard = solveCached(Sys, SolveOptions(), Cache);
+  ASSERT_TRUE(Grouped.Sat);
+  ASSERT_TRUE(PerShard.Sat);
+  EXPECT_EQ(Cache.Misses, Sys.numShards());
+  EXPECT_EQ(Grouped.StateDom, PerShard.StateDom);
+  EXPECT_EQ(Grouped.BoolDom, PerShard.BoolDom);
+  EXPECT_EQ(Grouped.Propagations, PerShard.Propagations);
+  EXPECT_EQ(Grouped.Choices, PerShard.Choices);
+  EXPECT_EQ(Grouped.Backtracks, PerShard.Backtracks);
+  const SimplifyStats &G = Grouped.Simplify, &P = PerShard.Simplify;
+  EXPECT_EQ(G.StateVarsBefore, P.StateVarsBefore);
+  EXPECT_EQ(G.StateVarsAfter, P.StateVarsAfter);
+  EXPECT_EQ(G.ConstraintsBefore, P.ConstraintsBefore);
+  EXPECT_EQ(G.ConstraintsAfter, P.ConstraintsAfter);
+  EXPECT_EQ(G.EqRemoved, P.EqRemoved);
+  EXPECT_EQ(G.DupTriplesRemoved, P.DupTriplesRemoved);
+  EXPECT_EQ(G.ForcedTriplesRemoved, P.ForcedTriplesRemoved);
+  EXPECT_EQ(G.BoolsForced, P.BoolsForced);
+  EXPECT_EQ(G.Components, P.Components);
+  EXPECT_EQ(G.LargestComponent, P.LargestComponent);
 }
 
-TEST(Components, ParallelMultiComponentMatchesSequential) {
-  // Many independent chains: force the parallel path and compare
-  // against both the sequential-simplified and the raw solve.
+TEST(Components, MultiComponentMatchesRaw) {
+  // Many independent chains: the sharded solve must match the raw
+  // engine on the whole system.
   ConstraintSystem Sys;
   for (int Chain = 0; Chain != 16; ++Chain) {
     StateVarId Prev = Sys.newState(StU);
@@ -388,22 +484,13 @@ TEST(Components, ParallelMultiComponentMatchesSequential) {
     }
     Sys.restrictState(Prev, StA);
   }
-  SolveOptions Par;
-  Par.Jobs = 4;
-  Par.ParallelMinConstraints = 0;
-  SolveOptions Raw;
-  Raw.Simplify = false;
-  SolveResult RPar = solve(Sys, Par);
   SolveResult RSeq = solve(Sys);
-  SolveResult RRaw = solve(Sys, Raw);
-  ASSERT_TRUE(RPar.Sat);
+  SolveResult RRaw = solveRaw(Sys);
+  ASSERT_TRUE(RSeq.Sat);
   ASSERT_TRUE(RRaw.Sat);
-  EXPECT_EQ(RPar.Simplify.Components, 16u);
-  EXPECT_GT(RPar.Simplify.ThreadsUsed, 1u);
-  EXPECT_EQ(RPar.StateDom, RSeq.StateDom);
-  EXPECT_EQ(RPar.BoolDom, RSeq.BoolDom);
-  EXPECT_EQ(RPar.StateDom, RRaw.StateDom);
-  EXPECT_EQ(RPar.BoolDom, RRaw.BoolDom);
+  EXPECT_EQ(RSeq.Simplify.Components, 16u);
+  EXPECT_EQ(RSeq.StateDom, RRaw.StateDom);
+  EXPECT_EQ(RSeq.BoolDom, RRaw.BoolDom);
 }
 
 } // namespace

@@ -1,10 +1,12 @@
-// Differential property test for the solver preprocessing layer: on the
-// builtin corpus and a large random-program sweep, the simplified solve
-// (and the simplified + parallel per-component solve) must produce
-// bit-identical output — Sat, state domains and boolean domains — to
-// the raw §4.3 solver. Every mode is additionally checked against the
-// byte-per-variable domain representation (`--no-packed-domains`), the
-// oracle for the packed bitvector default.
+// Differential property test for the solver: on the builtin corpus and
+// a large random-program sweep, the production solve (per-shard
+// simplification on the fused workspace kernel) and the shard-cached
+// solve (cold, then warm) must produce bit-identical output — Sat, state
+// domains and boolean domains — to the raw §4.3 engine on the
+// unsimplified system; when no two shards are identical, the cold cache
+// must also reproduce the production solve's work counters. A
+// hand-built system with ids past 2^21 checks that residual
+// deduplication stays exact.
 
 #include "ast/ASTContext.h"
 #include "closure/ClosureAnalysis.h"
@@ -24,8 +26,66 @@ using namespace afl::solver;
 
 namespace {
 
+/// Checks raw vs production vs cached (cold and warm) on \p Sys.
+void expectSolvesAgree(const ConstraintSystem &Sys, const char *Label) {
+  SolveOptions RawOpts;
+  RawOpts.Simplify = false;
+  SolveResult Raw = solve(Sys, RawOpts);
+  SolveResult Simplified = solve(Sys);
+
+  // Cold: every distinct shard is solved once (identical shards within
+  // the system already hit). Warm: every shard replays.
+  ShardSolutionCache Cache;
+  SolveResult Cold = solveCached(Sys, SolveOptions(), Cache);
+  const uint64_t ColdHits = Cache.Hits, ColdMisses = Cache.Misses;
+  EXPECT_EQ(ColdHits + ColdMisses, Sys.numShards()) << Label;
+  SolveResult Warm = solveCached(Sys, SolveOptions(), Cache);
+  EXPECT_EQ(Cache.Misses, ColdMisses) << Label;
+
+  ASSERT_EQ(Raw.Sat, Simplified.Sat) << Label;
+  ASSERT_EQ(Raw.Sat, Cold.Sat) << Label;
+  ASSERT_EQ(Raw.Sat, Warm.Sat) << Label;
+  EXPECT_EQ(Raw.StateDom, Simplified.StateDom) << Label;
+  EXPECT_EQ(Raw.BoolDom, Simplified.BoolDom) << Label;
+  EXPECT_EQ(Simplified.StateDom, Cold.StateDom) << Label;
+  EXPECT_EQ(Simplified.BoolDom, Cold.BoolDom) << Label;
+  EXPECT_EQ(Simplified.StateDom, Warm.StateDom) << Label;
+  EXPECT_EQ(Simplified.BoolDom, Warm.BoolDom) << Label;
+
+  // Grouping shards is pure amortization: when no two shards are
+  // identical, a cold cache solves every shard on its own and must do
+  // exactly the grouped solve's work.
+  if (ColdHits == 0) {
+    EXPECT_EQ(Cold.Propagations, Simplified.Propagations) << Label;
+    EXPECT_EQ(Cold.Choices, Simplified.Choices) << Label;
+    EXPECT_EQ(Cold.Backtracks, Simplified.Backtracks) << Label;
+    EXPECT_EQ(Cold.Simplify.ConstraintsAfter,
+              Simplified.Simplify.ConstraintsAfter)
+        << Label;
+    EXPECT_EQ(Cold.Simplify.DupTriplesRemoved,
+              Simplified.Simplify.DupTriplesRemoved)
+        << Label;
+    EXPECT_EQ(Cold.Simplify.LargestComponent,
+              Simplified.Simplify.LargestComponent)
+        << Label;
+  }
+  // A warm cache replays every shard: no solver work at all.
+  EXPECT_EQ(Warm.Propagations, 0u) << Label;
+
+  // The preprocessing proof obligations: every Eq constraint collapsed,
+  // never more residual than original constraints.
+  if (Simplified.Sat) {
+    EXPECT_EQ(Simplified.Simplify.EqRemoved,
+              Sys.numConstraintsOfKind(Constraint::Kind::Eq))
+        << Label;
+  }
+  EXPECT_LE(Simplified.Simplify.ConstraintsAfter,
+            Simplified.Simplify.ConstraintsBefore)
+      << Label;
+}
+
 /// Runs frontend + closure analysis + constraint generation and checks
-/// that all three solve modes agree exactly.
+/// that every solve path agrees exactly.
 void expectSolveModesAgree(const std::string &Source, const char *Label) {
   ast::ASTContext Ctx;
   DiagnosticEngine Diags;
@@ -38,74 +98,11 @@ void expectSolveModesAgree(const std::string &Source, const char *Label) {
   closure::ClosureAnalysis CA(*Prog);
   CA.run();
   GenResult Gen = generateConstraints(*Prog, CA);
-
-  SolveOptions RawOpts;
-  RawOpts.Simplify = false;
-  SolveResult Raw = solve(Gen.Sys, RawOpts);
-
-  // Default mode: per-shard simplify + solve over the shards recorded
-  // by the emission-time union-find.
-  SolveResult Simplified = solve(Gen.Sys);
-
-  // Monolithic mode: same preprocessing, but the emission shards are
-  // ignored — one whole-system simplify, components discovered (or just
-  // counted) at solve time. This is the pre-sharding pipeline.
-  SolveOptions MonoOpts;
-  MonoOpts.UseShards = false;
-  SolveResult Mono = solve(Gen.Sys, MonoOpts);
-
-  SolveOptions ParOpts;
-  ParOpts.Jobs = 4;
-  ParOpts.ParallelMinConstraints = 0; // parallelize regardless of size
-  SolveResult Parallel = solve(Gen.Sys, ParOpts);
-
-  // Byte-domain oracle: the same three modes with the packed bitvector
-  // representation swapped out for byte-per-variable lanes.
-  SolveOptions ByteRawOpts = RawOpts;
-  ByteRawOpts.PackedDomains = false;
-  SolveResult ByteRaw = solve(Gen.Sys, ByteRawOpts);
-  SolveOptions ByteOpts;
-  ByteOpts.PackedDomains = false;
-  SolveResult ByteSimplified = solve(Gen.Sys, ByteOpts);
-  SolveOptions ByteParOpts = ParOpts;
-  ByteParOpts.PackedDomains = false;
-  SolveResult ByteParallel = solve(Gen.Sys, ByteParOpts);
-
-  ASSERT_EQ(Raw.Sat, Simplified.Sat) << Label;
-  ASSERT_EQ(Raw.Sat, Mono.Sat) << Label;
-  ASSERT_EQ(Raw.Sat, Parallel.Sat) << Label;
-  ASSERT_TRUE(Raw.Sat) << Label
-                       << ": the conservative completion witnesses "
-                          "satisfiability, so every generated system "
-                          "must be Sat";
-  EXPECT_EQ(Raw.StateDom, Simplified.StateDom) << Label;
-  EXPECT_EQ(Raw.BoolDom, Simplified.BoolDom) << Label;
-  // Sharded emission must be solution-preserving: bit-identical domains
-  // against the monolithic pipeline, not merely equisatisfiable.
-  EXPECT_EQ(Mono.StateDom, Simplified.StateDom) << Label;
-  EXPECT_EQ(Mono.BoolDom, Simplified.BoolDom) << Label;
-  EXPECT_EQ(Simplified.StateDom, Parallel.StateDom) << Label;
-  EXPECT_EQ(Simplified.BoolDom, Parallel.BoolDom) << Label;
-
-  // Packed vs byte domains: bit-identical results in every mode.
-  ASSERT_EQ(ByteRaw.Sat, Raw.Sat) << Label;
-  EXPECT_EQ(ByteRaw.StateDom, Raw.StateDom) << Label;
-  EXPECT_EQ(ByteRaw.BoolDom, Raw.BoolDom) << Label;
-  ASSERT_EQ(ByteSimplified.Sat, Simplified.Sat) << Label;
-  EXPECT_EQ(ByteSimplified.StateDom, Simplified.StateDom) << Label;
-  EXPECT_EQ(ByteSimplified.BoolDom, Simplified.BoolDom) << Label;
-  ASSERT_EQ(ByteParallel.Sat, Parallel.Sat) << Label;
-  EXPECT_EQ(ByteParallel.StateDom, Parallel.StateDom) << Label;
-  EXPECT_EQ(ByteParallel.BoolDom, Parallel.BoolDom) << Label;
-
-  // The preprocessing proof obligations: every Eq constraint collapsed,
-  // never more residual than original constraints.
-  EXPECT_EQ(Simplified.Simplify.EqRemoved,
-            Gen.Sys.numConstraintsOfKind(Constraint::Kind::Eq))
-      << Label;
-  EXPECT_LE(Simplified.Simplify.ConstraintsAfter,
-            Simplified.Simplify.ConstraintsBefore)
-      << Label;
+  ASSERT_TRUE(solve(Gen.Sys).Sat)
+      << Label
+      << ": the conservative completion witnesses satisfiability, so "
+         "every generated system must be Sat";
+  expectSolvesAgree(Gen.Sys, Label);
 }
 
 TEST(SolverDifferential, Table2Corpus) {
@@ -140,6 +137,31 @@ TEST(SolverDifferential, RandomPrograms500) {
     if (::testing::Test::HasFatalFailure())
       return;
   }
+}
+
+TEST(SolverDifferential, DedupKeyIsExactPastTwentyOneBits) {
+  // Residual dedup once packed (kind, rep, rep, boolean) into one word
+  // with 21-bit fields. Here boolean X = 2^21 + 4 and X - 2^21 = 4 are
+  // distinct, and so are the post-states S[9] and S[10] — but the packed
+  // keys of T0 -X-> S[9] and T0 -(X - 2^21)-> S[10] coincide, which
+  // dropped the second triple and changed the solution.
+  constexpr uint32_t Wide = 1u << 21;
+  ConstraintSystem Sys;
+  StateVarId T0 = Sys.newState();
+  std::vector<StateVarId> S{Sys.newState()};
+  for (uint32_t I = 0; I != Wide + 4; ++I) {
+    S.push_back(Sys.newState());
+    Sys.addAllocTriple(S[I], Sys.newBool(), S[I + 1]);
+  }
+  BoolVarId X = Sys.newBool();
+  Sys.addAllocTriple(T0, X, S[9]);
+  Sys.addAllocTriple(T0, X - Wide, S[10]);
+  Sys.restrictState(S[10], StA);
+
+  SolveResult R = solve(Sys);
+  ASSERT_TRUE(R.Sat);
+  EXPECT_EQ(R.Simplify.DupTriplesRemoved, 0u);
+  expectSolvesAgree(Sys, "wide ids");
 }
 
 } // namespace

@@ -248,71 +248,62 @@ ConstraintSystem multiChainSystem(int Chains, int Len,
   return Sys;
 }
 
-TEST(Solver, ShardedMatchesMonolithicAndRaw) {
-  // The three pipelines — sharded (default), monolithic (UseShards off),
-  // and raw (no preprocessing) — must agree bit-for-bit.
+TEST(Solver, ShardedMatchesRawAndCached) {
+  // The production path (per-shard simplify + solve), the raw engine
+  // (no preprocessing) and the shard-cached solve must agree
+  // bit-for-bit.
   std::vector<BoolVarId> LastBools;
   ConstraintSystem Sys = multiChainSystem(12, 15, &LastBools);
   EXPECT_EQ(Sys.numShards(), 12u);
 
   SolveResult Sharded = solve(Sys);
-  SolveOptions MonoOpts;
-  MonoOpts.UseShards = false;
-  SolveResult Mono = solve(Sys, MonoOpts);
   SolveOptions RawOpts;
   RawOpts.Simplify = false;
   SolveResult Raw = solve(Sys, RawOpts);
+  ShardSolutionCache Cache;
+  SolveResult Cached = solveCached(Sys, SolveOptions(), Cache);
 
   ASSERT_TRUE(Sharded.Sat);
-  ASSERT_TRUE(Mono.Sat);
   ASSERT_TRUE(Raw.Sat);
-  EXPECT_EQ(Sharded.StateDom, Mono.StateDom);
-  EXPECT_EQ(Sharded.BoolDom, Mono.BoolDom);
+  ASSERT_TRUE(Cached.Sat);
   EXPECT_EQ(Sharded.StateDom, Raw.StateDom);
   EXPECT_EQ(Sharded.BoolDom, Raw.BoolDom);
+  EXPECT_EQ(Sharded.StateDom, Cached.StateDom);
+  EXPECT_EQ(Sharded.BoolDom, Cached.BoolDom);
   // The sharded path reports the emission shards as its components, with
   // no component-discovery pass of its own.
   EXPECT_EQ(Sharded.Simplify.Components, 12u);
+  // The twelve chains are identical up to renaming: one solve, eleven
+  // cache hits.
+  EXPECT_EQ(Cache.Misses, 1u);
+  EXPECT_EQ(Cache.Hits, 11u);
   // Late allocation chosen in every chain.
   for (BoolVarId B : LastBools)
     EXPECT_TRUE(Sharded.boolValue(B));
 }
 
-TEST(Solver, ShardedParallelJobsMatchSequential) {
-  ConstraintSystem Sys = multiChainSystem(12, 15, nullptr);
-  SolveOptions Par;
-  Par.Jobs = 4;
-  Par.ParallelMinConstraints = 0;
-  SolveResult RPar = solve(Sys, Par);
-  SolveResult RSeq = solve(Sys);
-  ASSERT_TRUE(RPar.Sat);
-  EXPECT_GT(RPar.Simplify.ThreadsUsed, 1u);
-  EXPECT_EQ(RPar.StateDom, RSeq.StateDom);
-  EXPECT_EQ(RPar.BoolDom, RSeq.BoolDom);
-}
-
 TEST(Solver, UnsatShardFailsWholeSystem) {
   // One inconsistent shard among many healthy ones must surface as
-  // global Unsat on every path, including the parallel one (workers
-  // cannot return a partial success).
+  // global Unsat on every path, cached included (a cached Unsat entry
+  // fails the replay too).
   ConstraintSystem Sys = multiChainSystem(6, 10, nullptr);
   StateVarId S1 = Sys.newState(StA);
   StateVarId S2 = Sys.newState(StD);
   Sys.addEq(S1, S2);
   SolveResult Sharded = solve(Sys);
   EXPECT_FALSE(Sharded.Sat);
-  SolveOptions MonoOpts;
-  MonoOpts.UseShards = false;
-  EXPECT_FALSE(solve(Sys, MonoOpts).Sat);
-  SolveOptions Par;
-  Par.Jobs = 4;
-  Par.ParallelMinConstraints = 0;
-  EXPECT_FALSE(solve(Sys, Par).Sat);
+  SolveOptions RawOpts;
+  RawOpts.Simplify = false;
+  EXPECT_FALSE(solve(Sys, RawOpts).Sat);
+  ShardSolutionCache Cache;
+  EXPECT_FALSE(solveCached(Sys, SolveOptions(), Cache).Sat);
+  EXPECT_FALSE(solveCached(Sys, SolveOptions(), Cache).Sat);
+  EXPECT_GT(Cache.Hits, 0u);
 }
 
 TEST(Solver, ShardedHandlesUnconstrainedVariables) {
   // Variables outside every shard keep their initial domains; unforced
-  // booleans default to false — same conventions as the monolithic path.
+  // booleans default to false — same conventions as the raw engine.
   ConstraintSystem Sys;
   StateVarId Free = Sys.newState(StD);
   BoolVarId FreeB = Sys.newBool();
@@ -336,9 +327,11 @@ TEST(Solver, ZeroedDomainOutsideShardsUnsat) {
   Sys.restrictState(S, StA);
   Sys.restrictState(S, StD); // A & D = empty
   EXPECT_FALSE(solve(Sys).Sat);
-  SolveOptions MonoOpts;
-  MonoOpts.UseShards = false;
-  EXPECT_FALSE(solve(Sys, MonoOpts).Sat);
+  SolveOptions RawOpts;
+  RawOpts.Simplify = false;
+  EXPECT_FALSE(solve(Sys, RawOpts).Sat);
+  ShardSolutionCache Cache;
+  EXPECT_FALSE(solveCached(Sys, SolveOptions(), Cache).Sat);
 }
 
 } // namespace

@@ -380,7 +380,7 @@ TEST(PackedDomains, AssignReusesStorage) {
 }
 
 TEST(PackedDomains, SingleBitFlags) {
-  support::PackedBits F(130, 0);
+  support::PackedArray<1> F(130, 0);
   F.set(0, 1);
   F.set(63, 1);
   F.set(64, 1);

@@ -19,12 +19,8 @@
 ///   --lexical-free       ablation: deallocation only at letregion exit
 ///   --closure-restart    reference closure fixpoint: whole-program
 ///                        restart passes instead of the worklist
-///   --no-simplify        ablation: solve the raw constraint system
-///                        (skip union-find collapse + component split)
-///   --no-packed-domains  ablation: byte-per-variable solver domains
-///                        (oracle/bench baseline for the packed default)
-///   --solver-jobs N      worker threads for the per-component solve
-///                        (0 = all cores, 1 = sequential)
+///   --no-simplify        oracle: solve the raw constraint system
+///                        (no per-shard simplification)
 ///   --closure-jobs N     worker threads for the closure analysis
 ///                        (0 = all cores, 1 = sequential worklist;
 ///                        default: $AFL_CLOSURE_JOBS or 1)
@@ -92,10 +88,7 @@ void usage() {
       "  --validate          run structural validators\n"
       "  --no-freeapp --lexical-alloc --lexical-free   ablations\n"
       "  --closure-restart   reference closure fixpoint (restart mode)\n"
-      "  --no-simplify       solve the raw constraint system\n"
-      "  --no-packed-domains byte-per-variable solver domains (ablation)\n"
-      "  --no-shards         ignore emission-time shards (monolithic solve)\n"
-      "  --solver-jobs N     threads for the per-component solve\n"
+      "  --no-simplify       solve the raw constraint system (oracle)\n"
       "  --closure-jobs N    threads for the closure analysis\n"
       "  --closure-widen[=K] merge closure contexts past K invisible\n"
       "                      color classes (bare: K=8; 0 = off;\n"
@@ -386,16 +379,6 @@ int main(int Argc, char **Argv) {
       Threads = parseJobsArg("-j", Arg.c_str() + 2);
     } else if (Arg == "--no-simplify") {
       Solve.Simplify = false;
-    } else if (Arg == "--no-packed-domains") {
-      Solve.PackedDomains = false;
-    } else if (Arg == "--no-shards") {
-      Solve.UseShards = false;
-    } else if (Arg == "--solver-jobs") {
-      if (++I >= Argc) {
-        usage();
-        return 2;
-      }
-      Solve.Jobs = parseJobsArg("--solver-jobs", Argv[I]);
     } else if (Arg == "--closure-jobs") {
       if (++I >= Argc) {
         usage();
@@ -439,6 +422,13 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--help" || Arg == "-h") {
       usage();
       return 0;
+    } else if (Arg.rfind("--", 0) == 0) {
+      // No program text starts with "--" (the lexer wants an integer
+      // literal after unary minus), so this is a mistyped or retired
+      // flag: refuse it rather than run with the default.
+      std::fprintf(stderr, "aflc: unknown option '%s'\n", Arg.c_str());
+      usage();
+      return 2;
     } else {
       Source = Arg;
     }

@@ -152,7 +152,6 @@ void closureWidenSeries(benchmark::State &State, unsigned K) {
   auto F = frontend(Src);
   auto Prog = regions::inferRegions(F->Ast, F->Ctx, F->Typed, F->Diags);
   closure::ClosureOptions Options;
-  Options.Jobs = 1;
   Options.Widening = K;
   size_t Contexts = 0, Widened = 0;
   bool Converged = false;
@@ -196,55 +195,6 @@ void BM_Closure(benchmark::State &State) {
   State.counters["contexts"] = static_cast<double>(Contexts);
 }
 BENCHMARK(BM_Closure)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
-
-/// Parallel closure analysis (the BSP partition replay of
-/// closure/ParallelFixpoint.cpp) against the same inputs as BM_Closure
-/// and BM_ClosureAnalysis_NestedHOF. ParallelMinFrontier is lowered to 2
-/// so the partitioned path runs even on modest frontiers — the point is
-/// to measure the parallel machinery, not to let it bail to the inline
-/// fallback. Real time, not CPU time: items run on pool threads.
-void closureParallelSeries(benchmark::State &State, const std::string &Src,
-                           unsigned Jobs) {
-  auto F = frontend(Src);
-  auto Prog = regions::inferRegions(F->Ast, F->Ctx, F->Typed, F->Diags);
-  closure::ClosureOptions Options;
-  Options.Jobs = Jobs;
-  Options.ParallelMinFrontier = 2;
-  size_t Contexts = 0, ParRounds = 0, Partitions = 0;
-  for (auto _ : State) {
-    closure::ClosureAnalysis CA(*Prog, Options);
-    benchmark::DoNotOptimize(CA.run());
-    Contexts = CA.numContexts();
-    ParRounds = CA.stats().ParallelRounds;
-    Partitions = CA.stats().Partitions;
-  }
-  State.counters["contexts"] = static_cast<double>(Contexts);
-  State.counters["par_rounds"] = static_cast<double>(ParRounds);
-  State.counters["partitions"] = static_cast<double>(Partitions);
-}
-
-void BM_ClosureParallel(benchmark::State &State) {
-  closureParallelSeries(State, chainProgram(static_cast<int>(State.range(0))),
-                        static_cast<unsigned>(State.range(1)));
-}
-BENCHMARK(BM_ClosureParallel)
-    ->Args({32, 2})
-    ->Args({32, 4})
-    ->Args({48, 2})
-    ->Args({48, 4})
-    ->UseRealTime();
-
-void BM_ClosureParallel_NestedHOF(benchmark::State &State) {
-  closureParallelSeries(State,
-                        nestedHofProgram(static_cast<int>(State.range(0))),
-                        static_cast<unsigned>(State.range(1)));
-}
-BENCHMARK(BM_ClosureParallel_NestedHOF)
-    ->Args({8, 2})
-    ->Args({8, 4})
-    ->Args({16, 2})
-    ->Args({16, 4})
-    ->UseRealTime();
 
 /// Constraint-generation stage time alone (no solve): consumes a
 /// converged closure analysis, so this isolates the §4.2 table-driven

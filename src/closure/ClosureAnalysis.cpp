@@ -1,7 +1,6 @@
 #include "closure/ClosureAnalysis.h"
 
 #include "support/CliParse.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cstdlib>
@@ -12,23 +11,10 @@ using namespace afl;
 using namespace afl::closure;
 using namespace afl::regions;
 
-unsigned closure::defaultClosureJobs() {
-  // Computed once: the env var is a process-level mode switch (CI runs
-  // the whole suite under AFL_CLOSURE_JOBS=4), not a per-run knob.
-  static unsigned Cached = [] {
-    const char *Env = std::getenv("AFL_CLOSURE_JOBS");
-    unsigned Jobs = 1;
-    if (Env && !parseCliUnsigned(Env, Jobs))
-      Jobs = 1;
-    return Jobs;
-  }();
-  return Cached;
-}
-
 unsigned closure::defaultClosureWiden() {
-  // Same once-per-process contract as defaultClosureJobs: CI runs whole
-  // suites under AFL_CLOSURE_WIDEN=8, and the analysis server inherits
-  // the knob through default-constructed options.
+  // Computed once: the env var is a process-level mode switch (CI runs
+  // whole suites under AFL_CLOSURE_WIDEN=8), and the analysis server
+  // inherits it through default-constructed options.
   static unsigned Cached = [] {
     const char *Env = std::getenv("AFL_CLOSURE_WIDEN");
     unsigned Bound = 0;
@@ -68,8 +54,7 @@ ClosureAnalysis::ClosureAnalysis(const RegionProgram &Prog,
 
   if (Options.Widening) {
     // Latent-effect regions per closure-carrying node, resolved up front
-    // so closure creation — including from the parallel workers, which
-    // must not touch the type tables — is a flat lookup.
+    // so closure creation is a flat lookup.
     VisibleRegions.resize(N);
     for (uint32_t I = 0; I != N; ++I) {
       const RExpr *Node = Prog.node(I);
@@ -211,10 +196,7 @@ void ClosureAnalysis::recordWideningStats() {
 }
 
 uint32_t ClosureAnalysis::ensureCtx(const RExpr *N, RegEnvId Incoming) {
-  return registerCtx(N, contextEnv(N, Incoming));
-}
-
-uint32_t ClosureAnalysis::registerCtx(const RExpr *N, RegEnvId Env) {
+  RegEnvId Env = contextEnv(N, Incoming);
   RNodeId Node = N->id();
   auto [Pos, Inserted] = NodeEnvs[Node].insertPos(Env);
   std::vector<uint32_t> &Ids = NodeCtxIds[Node];
@@ -735,15 +717,7 @@ bool ClosureAnalysis::runIncremental(const ClosureAnalysis &Prev,
 bool ClosureAnalysis::run() {
   Stats = ClosureStats();
   Stats.UsedWorklist = Options.UseWorklist;
-  unsigned Jobs =
-      Options.Jobs ? Options.Jobs : ThreadPool::hardwareThreads();
-  bool Ok;
-  if (!Options.UseWorklist)
-    Ok = runRestart();
-  else if (Jobs > 1)
-    Ok = runParallel(Jobs);
-  else
-    Ok = runWorklist();
+  bool Ok = Options.UseWorklist ? runWorklist() : runRestart();
   if (Ok)
     canonicalize();
   Stats.Converged = Ok;

@@ -80,17 +80,6 @@ void driver::recordPipelineMetrics(MetricsRegistry &Reg,
       Reg.add("enqueued", Analysis.Closure.Enqueued);
       Reg.set("worklist", Analysis.Closure.UsedWorklist ? 1 : 0);
       Reg.set("converged", Analysis.Closure.Converged ? 1 : 0);
-      if (Analysis.Closure.ThreadsUsed > 0) {
-        MetricScope Par(Reg, "parallel");
-        Reg.set("threads", Analysis.Closure.ThreadsUsed);
-        Reg.add("parallel_rounds", Analysis.Closure.ParallelRounds);
-        Reg.add("inline_rounds", Analysis.Closure.InlineRounds);
-        Reg.add("partitions", Analysis.Closure.Partitions);
-        Reg.set("largest_partition", Analysis.Closure.LargestPartition);
-        Reg.add("pool_tasks_queued", Analysis.Closure.PoolTasksQueued);
-        Reg.add("pool_items_stolen", Analysis.Closure.PoolItemsStolen);
-        Reg.addTime("parallel_seconds", Analysis.Closure.ParallelSeconds);
-      }
       if (Analysis.Closure.WideningBound > 0) {
         MetricScope Wide(Reg, "widening");
         Reg.set("bound", Analysis.Closure.WideningBound);
@@ -214,15 +203,6 @@ std::string driver::formatTimings(const PipelineStats &Stats,
                 Analysis.Closure.Passes, Analysis.Closure.ProcessedContexts,
                 Analysis.Closure.Enqueued);
   Out += Buf;
-  if (Analysis.Closure.ThreadsUsed > 0) {
-    std::snprintf(Buf, sizeof(Buf),
-                  "closure-parallel: %u thread(s), %zu parallel + %zu inline "
-                  "round(s), %zu partition(s) (largest %zu)\n",
-                  Analysis.Closure.ThreadsUsed, Analysis.Closure.ParallelRounds,
-                  Analysis.Closure.InlineRounds, Analysis.Closure.Partitions,
-                  Analysis.Closure.LargestPartition);
-    Out += Buf;
-  }
   if (Analysis.Closure.WideningBound > 0) {
     std::snprintf(Buf, sizeof(Buf),
                   "closure-widen: bound %u, %zu widened closure(s), "

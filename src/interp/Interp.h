@@ -90,9 +90,9 @@ enum class BackendKind : uint8_t {
 };
 
 /// The process-default backend: $AFL_INTERP ("vm" or "tree") when set and
-/// valid, else the VM. Like the closure/solver jobs env knobs, the
-/// library reads the variable leniently (unrecognized values fall back to
-/// the default); `aflc` validates it strictly at startup.
+/// valid, else the VM. Like $AFL_CLOSURE_WIDEN, the library reads the
+/// variable leniently (unrecognized values fall back to the default);
+/// `aflc` validates it strictly at startup.
 BackendKind defaultBackend();
 
 /// Strictly parses a backend name, CliParse.h-style: exactly "vm" or

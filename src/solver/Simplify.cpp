@@ -25,19 +25,23 @@ bool solver::simplifyGroup(const ConstraintSystem &Sys, uint32_t KBegin,
                            uint32_t KEnd, Workspace &W, SimplifyStats &Stats) {
   constexpr uint32_t None = ~0u;
 
-  // Group-local initial domains, member by member. The callers reject a
-  // system with an empty initial domain before any group runs, so every
-  // lane here is nonempty.
+  // Group-local initial domains, member by member: state lanes in Dom,
+  // boolean lanes straight into the residual's BD (forcing below only
+  // narrows them). The callers reject a system with an empty initial
+  // domain before any group runs, so every lane here is nonempty.
   std::vector<uint8_t> &Dom = W.Dom;
   Dom.clear();
-  size_t NB = 0, NumCons = 0;
+  W.BD.clear();
+  size_t NumCons = 0;
   for (uint32_t K = KBegin; K != KEnd; ++K) {
     for (uint32_t S : Sys.shardStates(K))
       Dom.push_back(Sys.StateDom.get(S));
-    NB += Sys.shardBools(K).size();
+    for (uint32_t B : Sys.shardBools(K))
+      W.BD.push_back(Sys.BoolDom.get(B));
     NumCons += Sys.shardConstraints(K).size();
   }
   const uint32_t NS = static_cast<uint32_t>(Dom.size());
+  const size_t NB = W.BD.size();
   Stats.StateVarsBefore = NS;
   Stats.ConstraintsBefore = NumCons;
 
@@ -197,9 +201,8 @@ bool solver::simplifyGroup(const ConstraintSystem &Sys, uint32_t KBegin,
     EnqueueClass(R);
   };
 
-  // The residual's boolean lanes, in group-local ids: forced values
-  // stay as singleton domains.
-  W.BD.assign(NB, BAny);
+  // The residual's boolean lanes, in group-local ids: initially fixed
+  // and forced values stay as singleton domains.
   uint8_t *const BD = W.BD.data();
   auto ForceBool = [&](BoolVarId B, uint8_t Value) {
     assert(BD[B] == BAny);

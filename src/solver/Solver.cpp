@@ -413,7 +413,7 @@ SolveResult solveShards(const ConstraintSystem &Sys) {
 
   // An empty *initial* domain is a conflict even for a variable in no
   // constraint — it never reaches a shard, so check globally up front.
-  if (Sys.StateDom.hasZeroEntry())
+  if (Sys.StateDom.hasZeroEntry() || Sys.BoolDom.hasZeroEntry())
     return R;
 
   // Group contiguous shards into work units of roughly GroupTarget
@@ -512,7 +512,7 @@ SolveResult solver::solveCached(const ConstraintSystem &Sys,
 
   // Same up-front global check as solve(): an empty initial domain is a
   // conflict even for a variable in no constraint.
-  if (Sys.StateDom.hasZeroEntry()) {
+  if (Sys.StateDom.hasZeroEntry() || Sys.BoolDom.hasZeroEntry()) {
     R.Seconds = Watch.seconds();
     return R;
   }

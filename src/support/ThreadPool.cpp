@@ -16,29 +16,18 @@ struct ThreadPool::Batch {
   std::function<void(size_t)> const *Fn = nullptr;
   std::atomic<size_t> Next{0};
   std::atomic<size_t> Completed{0};
-  std::atomic<size_t> CallerRan{0};
-  std::atomic<size_t> WorkerRan{0};
-  std::atomic<unsigned> Engaged{0};
   std::mutex DoneMutex;
   std::condition_variable DoneCV;
 };
 
-void ThreadPool::drain(Batch &B, bool IsCaller) {
-  size_t Ran = 0;
+void ThreadPool::drain(Batch &B) {
   for (;;) {
     size_t I = B.Next.fetch_add(1, std::memory_order_relaxed);
     if (I >= B.Items)
       break;
     (*B.Fn)(I);
-    if (++Ran == 1)
-      B.Engaged.fetch_add(1, std::memory_order_relaxed);
-    if (IsCaller)
-      B.CallerRan.fetch_add(1, std::memory_order_relaxed);
-    else
-      B.WorkerRan.fetch_add(1, std::memory_order_relaxed);
-    // Last of all: the acq_rel increment publishes both the item's
-    // effects and the counters above before the caller can observe
-    // Completed == Items and return.
+    // The acq_rel increment publishes the item's effects before the
+    // caller can observe Completed == Items and return.
     if (B.Completed.fetch_add(1, std::memory_order_acq_rel) + 1 == B.Items) {
       std::lock_guard<std::mutex> Lock(B.DoneMutex);
       B.DoneCV.notify_all();
@@ -78,13 +67,10 @@ void ThreadPool::workerLoop() {
   }
 }
 
-ThreadPool::RunStats
-ThreadPool::parallelFor(size_t Items, unsigned MaxWorkers,
-                        const std::function<void(size_t)> &Fn) {
-  RunStats Stats;
-  Stats.Items = Items;
+void ThreadPool::parallelFor(size_t Items, unsigned MaxWorkers,
+                             const std::function<void(size_t)> &Fn) {
   if (Items == 0)
-    return Stats;
+    return;
 
   auto B = std::make_shared<Batch>();
   B->Items = Items;
@@ -101,16 +87,15 @@ ThreadPool::parallelFor(size_t Items, unsigned MaxWorkers,
     {
       std::lock_guard<std::mutex> Lock(QueueMutex);
       for (size_t I = 0; I < Helpers; ++I)
-        Queue.emplace_back([B] { drain(*B, /*IsCaller=*/false); });
+        Queue.emplace_back([B] { drain(*B); });
     }
     if (Helpers == 1)
       QueueCV.notify_one();
     else
       QueueCV.notify_all();
-    Stats.TasksQueued = Helpers;
   }
 
-  drain(*B, /*IsCaller=*/true);
+  drain(*B);
 
   if (B->Completed.load(std::memory_order_acquire) < Items) {
     std::unique_lock<std::mutex> Lock(B->DoneMutex);
@@ -118,11 +103,6 @@ ThreadPool::parallelFor(size_t Items, unsigned MaxWorkers,
       return B->Completed.load(std::memory_order_acquire) >= Items;
     });
   }
-
-  Stats.RanByCaller = B->CallerRan.load(std::memory_order_relaxed);
-  Stats.RanByWorkers = B->WorkerRan.load(std::memory_order_relaxed);
-  Stats.WorkersEngaged = B->Engaged.load(std::memory_order_relaxed);
-  return Stats;
 }
 
 void ThreadPool::submit(std::function<void()> Task) {

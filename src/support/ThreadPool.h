@@ -3,10 +3,10 @@
 /// \file
 /// A shared worker-thread pool with a deadlock-free fork/join primitive.
 /// One pool (ThreadPool::global(), sized to the hardware) backs every
-/// parallel stage in the pipeline: batch items (driver/BatchRunner),
-/// solver components (solver/Solver.cpp) and closure-analysis partitions
-/// (closure/ParallelFixpoint.cpp), so nested stages share one set of
-/// threads instead of each spawning its own.
+/// thread in the process: batch items (driver/BatchRunner) run on it
+/// through parallelFor, and the socket transport (driver/Server) runs
+/// one detached connection handler per client on it through submit(),
+/// so nothing else spawns threads of its own.
 ///
 /// The only primitive is parallelFor(Items, MaxWorkers, Fn): run
 /// Fn(0..Items-1) with at most MaxWorkers concurrent executors and block
@@ -22,7 +22,7 @@
 /// exactly once and has completed when the call returns (a full
 /// happens-before barrier). Callers that need deterministic *results*
 /// must make item slots independent (write only slot I from item I) or
-/// merge in item order afterwards — see the closure partition replay.
+/// merge in item order afterwards, as the batch runner does.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,21 +43,6 @@ namespace afl {
 
 class ThreadPool {
 public:
-  /// Work accounting for one parallelFor call (surfaced as the
-  /// steal/queue counters in ClosureStats and `aflc --metrics`).
-  struct RunStats {
-    /// Items executed (== the Items argument).
-    size_t Items = 0;
-    /// Items the calling thread executed inline.
-    size_t RanByCaller = 0;
-    /// Items stolen by pool workers.
-    size_t RanByWorkers = 0;
-    /// Drainer tasks enqueued to the pool (≤ MaxWorkers - 1).
-    size_t TasksQueued = 0;
-    /// Executors that ran at least one item (caller included).
-    unsigned WorkersEngaged = 0;
-  };
-
   /// Creates \p Threads worker threads (0 = none; parallelFor then runs
   /// everything inline on the caller).
   explicit ThreadPool(unsigned Threads);
@@ -74,8 +59,8 @@ public:
   /// workers; MaxWorkers == 0 means "pool size + 1"). Blocks until all
   /// items completed. \p Fn must not throw. Reentrant: \p Fn may itself
   /// call parallelFor on the same pool.
-  RunStats parallelFor(size_t Items, unsigned MaxWorkers,
-                       const std::function<void(size_t)> &Fn);
+  void parallelFor(size_t Items, unsigned MaxWorkers,
+                   const std::function<void(size_t)> &Fn);
 
   /// Enqueues one detached task. Unlike parallelFor, nobody waits on it
   /// and the submitting thread never runs it inline — a task that blocks
@@ -100,7 +85,7 @@ public:
 
 private:
   struct Batch;
-  static void drain(Batch &B, bool IsCaller);
+  static void drain(Batch &B);
   void workerLoop();
 
   std::vector<std::thread> Workers; ///< Guarded by QueueMutex.

@@ -1,7 +1,7 @@
 // Tests for the strict CLI parsers behind aflc's arguments: a count
-// (-j / --solver-jobs / --closure-jobs / --closure-widen / @builtin N)
-// either parses as a plain base-10 unsigned integer or it is a usage
-// error — never atoi's silent 0 / prefix salvage — and a backend name
+// (-j / --closure-widen= / --max-connections / @builtin N) either
+// parses as a plain base-10 unsigned integer or it is a usage error —
+// never atoi's silent 0 / prefix salvage — and a backend name
 // (--interp= / $AFL_INTERP) is exactly "vm" or "tree", never a silent
 // fallback. Also covers writeTextFile, the helper behind --metrics=FILE:
 // an unopenable or unwritable target must be a reported failure, not a

@@ -229,70 +229,6 @@ TEST(ClosureAnalysis, UnknownContextIsEmptySet) {
             ClosureAnalysis::NoCtx);
 }
 
-Analyzed analyzeWith(const std::string &Source, const ClosureOptions &Opts) {
-  ast::ASTContext Ctx;
-  DiagnosticEngine Diags;
-  const ast::Expr *E = parseExpr(Source, Ctx, Diags);
-  EXPECT_NE(E, nullptr) << Diags.str();
-  types::TypedProgram T = types::inferTypes(E, Ctx, Diags);
-  EXPECT_TRUE(T.Success) << Diags.str();
-  Analyzed A;
-  A.Prog = inferRegions(E, Ctx, T, Diags);
-  EXPECT_NE(A.Prog, nullptr) << Diags.str();
-  A.CA = std::make_unique<ClosureAnalysis>(*A.Prog, Opts);
-  A.CA->run();
-  return A;
-}
-
-// Tentpole (ISSUE): the parallel partition replay must actually execute
-// its partitioned path (not just fall back to inline rounds) and report
-// what it did in the stats.
-TEST(ClosureAnalysis, ParallelPathRunsAndReportsStats) {
-  ClosureOptions Opts;
-  Opts.Jobs = 4;
-  Opts.ParallelMinFrontier = 2; // partition even modest frontiers
-  Analyzed A = analyzeWith(programs::quicksortSource(8), Opts);
-  ASSERT_TRUE(A.CA->converged()) << A.CA->error();
-  const ClosureStats &S = A.CA->stats();
-  EXPECT_EQ(S.ThreadsUsed, 4u);
-  EXPECT_GT(S.ParallelRounds, 0u);
-  EXPECT_GT(S.Partitions, 0u);
-  EXPECT_GE(S.LargestPartition, 1u);
-  EXPECT_GE(S.ParallelSeconds, 0.0);
-  EXPECT_GT(S.ProcessedContexts, 0u);
-}
-
-TEST(ClosureAnalysis, ParallelHighMinFrontierFallsBackInline) {
-  // A frontier threshold larger than any real frontier degrades the
-  // parallel engine to pure inline rounds — still converging to the
-  // same result, with zero partitioned rounds reported.
-  ClosureOptions Opts;
-  Opts.Jobs = 4;
-  Opts.ParallelMinFrontier = 1u << 20;
-  Analyzed A = analyzeWith(programs::fibSource(5), Opts);
-  ASSERT_TRUE(A.CA->converged()) << A.CA->error();
-  EXPECT_EQ(A.CA->stats().ParallelRounds, 0u);
-  EXPECT_GT(A.CA->stats().InlineRounds, 0u);
-
-  ClosureOptions Seq;
-  Seq.Jobs = 1;
-  Analyzed B = analyzeWith(programs::fibSource(5), Seq);
-  EXPECT_EQ(A.CA->numContexts(), B.CA->numContexts());
-  EXPECT_EQ(A.CA->numClosures(), B.CA->numClosures());
-}
-
-TEST(ClosureAnalysis, ParallelCapReportsFailure) {
-  ClosureOptions Opts;
-  Opts.Jobs = 4;
-  Opts.ParallelMinFrontier = 2;
-  Opts.MaxSteps = 2; // far too few for any real program
-  Analyzed A = analyzeWith(programs::fibSource(5), Opts);
-  EXPECT_FALSE(A.CA->converged());
-  EXPECT_FALSE(A.CA->stats().Converged);
-  EXPECT_NE(A.CA->error().find("failed to stabilize"), std::string::npos)
-      << A.CA->error();
-}
-
 TEST(ClosureAnalysis, ColorsBoundedByScopeSize) {
   Analyzed A = analyze(programs::quicksortSource(8));
   size_t MaxColors = 0;

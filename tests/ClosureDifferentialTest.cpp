@@ -44,27 +44,17 @@ frontend(const std::string &Source, ast::ASTContext &Ctx, const char *Label) {
 }
 
 /// Runs closure analysis + constraint generation + solve + completion in
-/// all three fixpoint modes — sequential worklist (production default),
-/// whole-program restart (reference), and the parallel partition replay —
-/// and checks every artifact is identical to the sequential worklist's.
+/// both fixpoint modes — the dependency-tracked worklist (production
+/// default) and the whole-program restart (reference) — and checks every
+/// artifact is identical.
 void expectClosureModesAgree(const std::string &Source, const char *Label) {
   ast::ASTContext Ctx;
   auto Prog = frontend(Source, Ctx, Label);
   ASSERT_NE(Prog, nullptr) << Label;
 
-  // Pin Jobs explicitly: the default reads $AFL_CLOSURE_JOBS, and this
-  // test must compare genuinely different execution strategies whatever
-  // the environment says.
   closure::ClosureOptions WorklistOpts; // UseWorklist = true
-  WorklistOpts.Jobs = 1;
   closure::ClosureOptions RestartOpts;
   RestartOpts.UseWorklist = false;
-  RestartOpts.Jobs = 1;
-  closure::ClosureOptions ParallelOpts;
-  ParallelOpts.Jobs = 4;
-  // Force the partitioned path even on small frontiers; otherwise most
-  // corpus programs would just take the inline fallback.
-  ParallelOpts.ParallelMinFrontier = 2;
 
   closure::ClosureAnalysis Worklist(*Prog, WorklistOpts);
   ASSERT_TRUE(Worklist.run()) << Label << ": " << Worklist.error();
@@ -93,52 +83,44 @@ void expectClosureModesAgree(const std::string &Source, const char *Label) {
     return M;
   };
 
-  struct Mode {
-    const char *Name;
-    closure::ClosureOptions Opts;
-  };
-  const Mode Others[] = {{"restart", RestartOpts},
-                         {"parallel", ParallelOpts}};
-  for (const Mode &M : Others) {
-    SCOPED_TRACE(std::string(Label) + " vs " + M.Name);
-    closure::ClosureAnalysis Other(*Prog, M.Opts);
-    ASSERT_TRUE(Other.run()) << Other.error();
-    EXPECT_EQ(Other.stats().UsedWorklist, M.Opts.UseWorklist);
+  SCOPED_TRACE(std::string(Label) + " worklist vs restart");
+  closure::ClosureAnalysis Restart(*Prog, RestartOpts);
+  ASSERT_TRUE(Restart.run()) << Restart.error();
+  EXPECT_FALSE(Restart.stats().UsedWorklist);
 
-    // Same analysis result: contexts, closures, per-context value sets.
-    ASSERT_EQ(Worklist.numContexts(), Other.numContexts());
-    ASSERT_EQ(Worklist.numClosures(), Other.numClosures());
-    for (const regions::RExpr *N : Prog->nodes())
-      EXPECT_EQ(collect(Worklist, N), collect(Other, N))
-          << "node " << N->id();
+  // Same analysis result: contexts, closures, per-context value sets.
+  ASSERT_EQ(Worklist.numContexts(), Restart.numContexts());
+  ASSERT_EQ(Worklist.numClosures(), Restart.numClosures());
+  for (const regions::RExpr *N : Prog->nodes())
+    EXPECT_EQ(collect(Worklist, N), collect(Restart, N))
+        << "node " << N->id();
 
-    // Byte-identical generated constraint systems.
-    GenResult OGen = generateConstraints(*Prog, Other);
-    EXPECT_EQ(dumpSystem(WGen), dumpSystem(OGen));
-    ASSERT_EQ(WGen.Choices.size(), OGen.Choices.size());
-    for (size_t I = 0; I != WGen.Choices.size(); ++I) {
-      EXPECT_EQ(WGen.Choices[I].Node, OGen.Choices[I].Node);
-      EXPECT_EQ(WGen.Choices[I].Kind, OGen.Choices[I].Kind);
-      EXPECT_EQ(WGen.Choices[I].Region, OGen.Choices[I].Region);
-      EXPECT_EQ(WGen.Choices[I].B, OGen.Choices[I].B);
-    }
-    EXPECT_EQ(WGen.NumContexts, OGen.NumContexts);
-    EXPECT_EQ(WGen.NumPinnedCalls, OGen.NumPinnedCalls);
-
-    // Identical solver outcomes over the identical systems.
-    solver::SolveResult OSol = solver::solve(OGen.Sys);
-    ASSERT_EQ(WSol.Sat, OSol.Sat);
-    EXPECT_EQ(WSol.StateDom, OSol.StateDom);
-    EXPECT_EQ(WSol.BoolDom, OSol.BoolDom);
-
-    // Identical end-to-end completions (the user-visible artifact).
-    completion::AflStats OStats;
-    regions::Completion OCpl = completion::aflCompletion(
-        *Prog, &OStats, constraints::GenOptions(), solver::SolveOptions(),
-        M.Opts);
-    EXPECT_TRUE(OStats.Solved);
-    EXPECT_EQ(WPrinted, regions::printRegionProgram(*Prog, &OCpl));
+  // Byte-identical generated constraint systems.
+  GenResult RGen = generateConstraints(*Prog, Restart);
+  EXPECT_EQ(dumpSystem(WGen), dumpSystem(RGen));
+  ASSERT_EQ(WGen.Choices.size(), RGen.Choices.size());
+  for (size_t I = 0; I != WGen.Choices.size(); ++I) {
+    EXPECT_EQ(WGen.Choices[I].Node, RGen.Choices[I].Node);
+    EXPECT_EQ(WGen.Choices[I].Kind, RGen.Choices[I].Kind);
+    EXPECT_EQ(WGen.Choices[I].Region, RGen.Choices[I].Region);
+    EXPECT_EQ(WGen.Choices[I].B, RGen.Choices[I].B);
   }
+  EXPECT_EQ(WGen.NumContexts, RGen.NumContexts);
+  EXPECT_EQ(WGen.NumPinnedCalls, RGen.NumPinnedCalls);
+
+  // Identical solver outcomes over the identical systems.
+  solver::SolveResult RSol = solver::solve(RGen.Sys);
+  ASSERT_EQ(WSol.Sat, RSol.Sat);
+  EXPECT_EQ(WSol.StateDom, RSol.StateDom);
+  EXPECT_EQ(WSol.BoolDom, RSol.BoolDom);
+
+  // Identical end-to-end completions (the user-visible artifact).
+  completion::AflStats RStats;
+  regions::Completion RCpl = completion::aflCompletion(
+      *Prog, &RStats, constraints::GenOptions(), solver::SolveOptions(),
+      RestartOpts);
+  EXPECT_TRUE(RStats.Solved);
+  EXPECT_EQ(WPrinted, regions::printRegionProgram(*Prog, &RCpl));
 }
 
 TEST(ClosureDifferential, Table2Corpus) {

@@ -21,9 +21,6 @@
 ///                        restart passes instead of the worklist
 ///   --no-simplify        oracle: solve the raw constraint system
 ///                        (no per-shard simplification)
-///   --closure-jobs N     worker threads for the closure analysis
-///                        (0 = all cores, 1 = sequential worklist;
-///                        default: $AFL_CLOSURE_JOBS or 1)
 ///   --closure-widen[=K]  k-limit closure contexts: canonically merge
 ///                        abstract region environments that agree on
 ///                        the consumer-visible regions once a closure
@@ -38,15 +35,15 @@
 ///   --metrics[=FILE]     emit per-stage metrics as JSON (stdout or FILE)
 ///   --batch DIR          run every .afl file under DIR (thread-pooled)
 ///   -j N                 worker threads for --batch (default: all cores)
+///   --serve              incremental analysis server: newline-delimited
+///                        JSON requests on stdin, responses on stdout
+///                        (protocol in docs/SERVER.md)
 ///
 /// Environment:
 ///   AFL_ARENA_POOL=0|1       disable/enable the process-wide arena pool
 ///                            (default: 1; see docs/OBSERVABILITY.md)
 ///   AFL_ARENA_POOL_MAX=N     retention cap of the arena pool (default 32)
 ///   AFL_CLOSURE_WIDEN=K      default widening bound (see --closure-widen)
-///   --serve              incremental analysis server: newline-delimited
-///                        JSON requests on stdin, responses on stdout
-///                        (protocol in docs/SERVER.md)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,7 +86,6 @@ void usage() {
       "  --no-freeapp --lexical-alloc --lexical-free   ablations\n"
       "  --closure-restart   reference closure fixpoint (restart mode)\n"
       "  --no-simplify       solve the raw constraint system (oracle)\n"
-      "  --closure-jobs N    threads for the closure analysis\n"
       "  --closure-widen[=K] merge closure contexts past K invisible\n"
       "                      color classes (bare: K=8; 0 = off;\n"
       "                      default: $AFL_CLOSURE_WIDEN or off)\n"
@@ -379,12 +375,6 @@ int main(int Argc, char **Argv) {
       Threads = parseJobsArg("-j", Arg.c_str() + 2);
     } else if (Arg == "--no-simplify") {
       Solve.Simplify = false;
-    } else if (Arg == "--closure-jobs") {
-      if (++I >= Argc) {
-        usage();
-        return 2;
-      }
-      Closure.Jobs = parseJobsArg("--closure-jobs", Argv[I]);
     } else if (Arg == "--closure-widen") {
       Closure.Widening = 8;
     } else if (Arg.rfind("--closure-widen=", 0) == 0) {

@@ -21,7 +21,6 @@
 #include "programs/Corpus.h"
 #include "regions/RegionInference.h"
 #include "solver/Solver.h"
-#include "support/ArenaPool.h"
 #include "types/TypeInference.h"
 
 #include <benchmark/benchmark.h>
@@ -421,38 +420,6 @@ void BM_BatchThroughput(benchmark::State &State) {
 // Real time, not CPU time: the work happens on pool threads, so the
 // main thread's CPU clock would make the rate meaningless.
 BENCHMARK(BM_BatchThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-/// Arena churn of repeated per-item context construction (the batch and
-/// server allocation pattern): the full front half over the small
-/// corpus, with the process-wide arena pool on (arg 1) or off (arg 0).
-/// Counters surface the reuse the pool achieves; peak RSS is process-
-/// wide and monotonic, so the pooled/unpooled RSS comparison lives in
-/// BENCH_solver.json (two separate `aflc --batch` processes).
-void BM_FrontEndArenaPool(benchmark::State &State) {
-  bool Pooled = State.range(0) != 0;
-  bool Was = ArenaPool::globalEnabled();
-  ArenaPool::setGlobalEnabled(Pooled);
-  ArenaPool::global().clear();
-  std::vector<std::string> Sources;
-  for (const programs::BenchProgram &P : programs::smallCorpus())
-    Sources.push_back(P.Source);
-  for (auto _ : State) {
-    for (const std::string &Src : Sources) {
-      DiagnosticEngine Diags;
-      driver::FrontEnd F = driver::runFrontEnd(Src, Diags);
-      benchmark::DoNotOptimize(F.Prog);
-    }
-  }
-  ArenaPool::Stats S = ArenaPool::global().stats();
-  State.counters["pool_hits"] = static_cast<double>(S.Hits);
-  State.counters["pool_misses"] = static_cast<double>(S.Misses);
-  State.counters["retained_kb"] = static_cast<double>(S.RetainedBytes) / 1024;
-  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
-                          static_cast<int64_t>(Sources.size()));
-  ArenaPool::setGlobalEnabled(Was);
-  State.SetLabel(Pooled ? "pool on" : "pool off");
-}
-BENCHMARK(BM_FrontEndArenaPool)->Arg(0)->Arg(1);
 
 } // namespace
 

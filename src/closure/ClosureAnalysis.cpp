@@ -1,29 +1,12 @@
 #include "closure/ClosureAnalysis.h"
 
-#include "support/CliParse.h"
-
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 
 using namespace afl;
 using namespace afl::closure;
 using namespace afl::regions;
-
-unsigned closure::defaultClosureWiden() {
-  // Computed once: the env var is a process-level mode switch (CI runs
-  // whole suites under AFL_CLOSURE_WIDEN=8), and the analysis server
-  // inherits it through default-constructed options.
-  static unsigned Cached = [] {
-    const char *Env = std::getenv("AFL_CLOSURE_WIDEN");
-    unsigned Bound = 0;
-    if (Env && !parseCliUnsigned(Env, Bound))
-      Bound = 0;
-    return Bound;
-  }();
-  return Cached;
-}
 
 size_t ClosureOptions::stepCap(size_t NumNodes) const {
   if (MaxSteps)

@@ -54,12 +54,6 @@ struct AbsClosure {
   RegEnvId Env = 0;
 };
 
-/// Default for ClosureOptions::Widening: the AFL_CLOSURE_WIDEN
-/// environment variable if set to a valid non-negative integer,
-/// otherwise 0 (widening off, exact analysis). Read once per process:
-/// the server and every library call site pick it up without plumbing.
-unsigned defaultClosureWiden();
-
 /// Fixpoint configuration.
 struct ClosureOptions {
   /// Dependency-tracked worklist (production) vs. the whole-program
@@ -77,8 +71,8 @@ struct ClosureOptions {
   /// effect), those classes are canonically recolored at closure
   /// creation, merging environments that agree on the visible colors
   /// and the invisible aliasing partition. 0 = off (exact analysis).
-  /// `aflc --closure-widen[=K]`, default from $AFL_CLOSURE_WIDEN.
-  unsigned Widening = defaultClosureWiden();
+  /// `aflc --closure-widen[=K]`.
+  unsigned Widening = 0;
 
   /// The worklist's stabilization cap (runWorklist, also on the
   /// incremental path): MaxSteps when set, otherwise

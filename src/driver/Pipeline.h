@@ -42,9 +42,9 @@ struct PipelineOptions {
   solver::SolveOptions SolveOptions;
   /// Closure-analysis fixpoint mode and caps (`aflc --closure-restart`).
   closure::ClosureOptions ClosureOptions;
-  /// Evaluator for the instrumented runs (`aflc --interp=vm|tree`,
-  /// $AFL_INTERP). Both backends are semantics-exact; see docs/VM.md.
-  interp::BackendKind Backend = interp::defaultBackend();
+  /// Evaluator for the instrumented runs (`aflc --interp=vm|tree`).
+  /// Both backends are semantics-exact; see docs/VM.md.
+  interp::BackendKind Backend = interp::BackendKind::Vm;
 };
 
 /// Per-stage observability for one pipeline run: wall-clock time of every

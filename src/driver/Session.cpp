@@ -4,7 +4,6 @@
 #include "completion/Conservative.h"
 #include "driver/Incremental.h"
 #include "interp/Interp.h"
-#include "support/ArenaPool.h"
 #include "support/Metrics.h"
 
 #include <cmath>
@@ -292,50 +291,33 @@ std::string Session::handleQuery(const json::Value &Params,
   const std::string &W = What->asString();
 
   if (W == "metrics") {
-    std::string O = "{\"metrics\":{";
-    O += "\"requests\":" + std::to_string(Stats.Requests);
-    O += ",\"errors\":" + std::to_string(Stats.Errors);
-    O += ",\"opens\":" + std::to_string(Stats.Opens);
-    O += ",\"edits\":" + std::to_string(Stats.Edits);
-    O += ",\"queries\":" + std::to_string(Stats.Queries);
-    O += ",\"closes\":" + std::to_string(Stats.Closes);
-    O += ",\"open_docs\":" + std::to_string(Docs.size());
-    O += ",\"full_analyses\":" + std::to_string(Stats.FullAnalyses);
-    O += ",\"incremental_analyses\":" +
-         std::to_string(Stats.IncrementalAnalyses);
-    O += ",\"reused_analyses\":" + std::to_string(Stats.ReusedAnalyses);
-    O += ",\"dirtied_contexts\":" + std::to_string(Stats.DirtiedContexts);
-    O += ",\"shards_solved\":" + std::to_string(Stats.ShardsSolved);
-    O += ",\"shards_reused\":" + std::to_string(Stats.ShardsReused);
+    MetricsRegistry Reg;
+    Reg.set("requests", Stats.Requests);
+    Reg.set("errors", Stats.Errors);
+    Reg.set("opens", Stats.Opens);
+    Reg.set("edits", Stats.Edits);
+    Reg.set("queries", Stats.Queries);
+    Reg.set("closes", Stats.Closes);
+    Reg.set("open_docs", Docs.size());
+    Reg.set("full_analyses", Stats.FullAnalyses);
+    Reg.set("incremental_analyses", Stats.IncrementalAnalyses);
+    Reg.set("reused_analyses", Stats.ReusedAnalyses);
+    Reg.set("dirtied_contexts", Stats.DirtiedContexts);
+    Reg.set("shards_solved", Stats.ShardsSolved);
+    Reg.set("shards_reused", Stats.ShardsReused);
     if (Conn) {
       // Socket-transport sessions also report the server-wide connection
       // counters (docs/OBSERVABILITY.md, "server/connections" scope).
-      O += ",\"connections\":{";
-      O += "\"accepted\":" +
-           std::to_string(Conn->Accepted.load(std::memory_order_relaxed));
-      O += ",\"active\":" +
-           std::to_string(Conn->Active.load(std::memory_order_relaxed));
-      O += ",\"rejected\":" +
-           std::to_string(Conn->Rejected.load(std::memory_order_relaxed));
-      O += ",\"timed_out\":" +
-           std::to_string(Conn->TimedOut.load(std::memory_order_relaxed));
-      O += "}";
+      MetricScope Connections(Reg, "connections");
+      Reg.set("accepted", Conn->Accepted.load(std::memory_order_relaxed));
+      Reg.set("active", Conn->Active.load(std::memory_order_relaxed));
+      Reg.set("rejected", Conn->Rejected.load(std::memory_order_relaxed));
+      Reg.set("timed_out", Conn->TimedOut.load(std::memory_order_relaxed));
     }
     // Process-wide arena-pool counters: every open/edit leases its AST
     // and region-IR arenas from the pool (docs/OBSERVABILITY.md).
-    ArenaPool::Stats Pool = ArenaPool::global().stats();
-    O += ",\"memory\":{\"arena_pool\":{";
-    O += "\"enabled\":" +
-         std::string(ArenaPool::globalEnabled() ? "true" : "false");
-    O += ",\"checkouts\":" + std::to_string(Pool.Checkouts);
-    O += ",\"hits\":" + std::to_string(Pool.Hits);
-    O += ",\"misses\":" + std::to_string(Pool.Misses);
-    O += ",\"returns\":" + std::to_string(Pool.Returns);
-    O += ",\"pooled\":" + std::to_string(Pool.Pooled);
-    O += ",\"retained_bytes\":" + std::to_string(Pool.RetainedBytes);
-    O += "}}";
-    O += "}}";
-    return O;
+    recordMemoryMetrics(Reg);
+    return "{\"metrics\":" + Reg.json(false) + "}";
   }
 
   Document *Doc = findDoc(Params, Error);
@@ -353,19 +335,17 @@ std::string Session::handleQuery(const json::Value &Params,
   }
   if (W == "run") {
     // Instrumented execution of the document under its current A-F-L
-    // completion. Served runs use the process-default backend — the
-    // bytecode VM unless $AFL_INTERP=tree (docs/VM.md).
+    // completion, always on the bytecode VM (docs/VM.md).
     Stopwatch Watch;
     interp::RunResult R = interp::run(*Doc->Prog, Doc->AflC);
     double TotalSeconds = Watch.seconds();
-    bool Vm = interp::defaultBackend() == interp::BackendKind::Vm;
     std::string O = "{\"run\":{";
     O += "\"ok\":" + std::string(R.Ok ? "true" : "false");
     if (R.Ok)
       O += ",\"result\":" + jsonString(R.ResultText);
     else
       O += ",\"error\":" + jsonString(R.Error);
-    O += ",\"backend\":" + jsonString(Vm ? "vm" : "tree");
+    O += ",\"backend\":\"vm\"";
     O += ",\"stats\":{";
     O += "\"max_regions\":" + std::to_string(R.S.MaxRegions);
     O += ",\"region_allocs\":" + std::to_string(R.S.TotalRegionAllocs);

@@ -32,8 +32,7 @@
 /// is not itself thread-safe; concurrency comes from running many
 /// sessions at once. The process-wide structures sessions share are each
 /// thread-safe on their own: ArenaPool::global() (mutexed checkout/
-/// return), ThreadPool::global() (mutexed queue), and
-/// interp::defaultBackend() (C++11 static-local init). Interners
+/// return) and ThreadPool::global() (mutexed queue). Interners
 /// (StringInterner, SetInterner, StateVecInterner) are per-document —
 /// they live inside the session's ASTContext/analysis artifacts — so no
 /// cross-session locking is needed for them.

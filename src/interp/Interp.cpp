@@ -6,7 +6,6 @@
 
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
 #include <optional>
 #include <pthread.h>
 #include <string_view>
@@ -661,18 +660,6 @@ bool interp::parseBackendName(std::string_view Text, BackendKind &Out) {
     return true;
   }
   return false;
-}
-
-BackendKind interp::defaultBackend() {
-  static const BackendKind Cached = [] {
-    BackendKind B = BackendKind::Vm;
-    // Unset, empty, or unrecognized: the library stays lenient (aflc
-    // validates the variable strictly and exits with usage instead).
-    if (const char *Env = std::getenv("AFL_INTERP"))
-      (void)parseBackendName(Env, B);
-    return B;
-  }();
-  return Cached;
 }
 
 RunResult interp::run(const RegionProgram &Prog, const Completion &C,

@@ -89,15 +89,9 @@ enum class BackendKind : uint8_t {
   Tree,
 };
 
-/// The process-default backend: $AFL_INTERP ("vm" or "tree") when set and
-/// valid, else the VM. Like $AFL_CLOSURE_WIDEN, the library reads the
-/// variable leniently (unrecognized values fall back to the default);
-/// `aflc` validates it strictly at startup.
-BackendKind defaultBackend();
-
 /// Strictly parses a backend name, CliParse.h-style: exactly "vm" or
 /// "tree"; anything else returns false and leaves \p Out untouched.
-/// Shared by `aflc --interp=...` and its $AFL_INTERP validation.
+/// Used by `aflc --interp=...`.
 bool parseBackendName(std::string_view Text, BackendKind &Out);
 
 struct RunOptions {
@@ -114,8 +108,8 @@ struct RunOptions {
   /// Optional storage modes: writes listed atbot reset their region
   /// first (destroying its current contents). Not owned; may be null.
   const completion::StorageModes *Modes = nullptr;
-  /// Evaluator selection (`aflc --interp=vm|tree`, $AFL_INTERP).
-  BackendKind Backend = defaultBackend();
+  /// Evaluator selection (`aflc --interp=vm|tree`).
+  BackendKind Backend = BackendKind::Vm;
 };
 
 struct RunResult {

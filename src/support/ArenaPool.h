@@ -10,10 +10,8 @@
 /// the VM's region buffer pool) so a new tenant checks out the memory of a
 /// previous one instead of mapping fresh pages.
 ///
-/// Pooling is on by default and can be disabled with the environment
-/// variable \c AFL_ARENA_POOL=0 (the library treats any other value as
-/// enabled; the \c aflc driver validates strictly). The retention cap is
-/// tunable via \c AFL_ARENA_POOL_MAX.
+/// Every PooledArena leases from the global pool, which retains at most
+/// 32 reset arenas; returns beyond that are freed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,17 +59,10 @@ public:
 
   Stats stats() const;
 
-  size_t maxPooled() const;
-  void setMaxPooled(size_t Max);
+  size_t maxPooled() const { return MaxPooled; }
 
   /// The process-wide pool leased by PooledArena.
   static ArenaPool &global();
-
-  /// Whether PooledArena uses the global pool. Initialized leniently from
-  /// $AFL_ARENA_POOL (only the literal "0" disables; the CLI layer rejects
-  /// malformed values before this is consulted).
-  static bool globalEnabled();
-  static void setGlobalEnabled(bool Enabled);
 
 private:
   // Size classes keyed by floor(log2(bytesReserved)), clamped into
@@ -84,20 +75,18 @@ private:
 
   mutable std::mutex M;
   std::vector<Arena> Classes[NumClasses];
-  size_t MaxPooled = 32;
+  const size_t MaxPooled = 32;
   size_t NumPooled = 0;
   Stats S;
 };
 
 /// RAII lease of an arena from the global pool. Construction checks one
-/// out (or builds a private arena when pooling is disabled); destruction
-/// returns it. Movable so arena-owning containers (RegionProgram) keep
-/// their move semantics.
+/// out; destruction returns it. Movable so arena-owning containers
+/// (RegionProgram) keep their move semantics; a moved-from lease returns
+/// nothing.
 class PooledArena {
 public:
-  PooledArena()
-      : Lease(ArenaPool::globalEnabled()),
-        A(Lease ? ArenaPool::global().acquire() : Arena()) {}
+  PooledArena() : A(ArenaPool::global().acquire()) {}
 
   PooledArena(PooledArena &&Other) noexcept
       : Lease(Other.Lease), A(std::move(Other.A)) {
@@ -132,7 +121,7 @@ private:
     Lease = false;
   }
 
-  bool Lease;
+  bool Lease = true;
   Arena A;
 };
 

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <limits>
 
 using namespace afl;
@@ -174,17 +175,11 @@ std::unique_ptr<RegionProgram> frontend(const std::string &Source,
   return Prog;
 }
 
-/// Exact-analysis options with the env-sensitive widening default
-/// pinned, so the tests compare what they mean to compare whatever
-/// AFL_CLOSURE_WIDEN says (the CI runs a leg with it set).
-ClosureOptions exactOpts() {
-  ClosureOptions O;
-  O.Widening = 0;
-  return O;
-}
+/// Exact-analysis options: widening is off by default.
+ClosureOptions exactOpts() { return ClosureOptions(); }
 
 ClosureOptions widenedOpts(unsigned K) {
-  ClosureOptions O = exactOpts();
+  ClosureOptions O;
   O.Widening = K;
   return O;
 }
@@ -383,48 +378,59 @@ struct PrecisionDelta {
   long long ExtraPeakValues = 0;
 };
 
-void sweepOne(const std::string &Source, const char *Label, unsigned K,
-              PrecisionDelta &Agg) {
-  driver::PipelineOptions ExactOpt, WideOpt;
-  ExactOpt.ClosureOptions = exactOpts();
-  WideOpt.ClosureOptions = widenedOpts(K);
+/// Widening bounds the sweep measures: the recommended K=2 and the bare
+/// `--closure-widen` default K=8.
+constexpr unsigned SweepBounds[] = {2, 8};
+constexpr size_t NumSweepBounds = std::size(SweepBounds);
 
-  driver::PipelineResult Exact = driver::runPipeline(Source, ExactOpt);
-  driver::PipelineResult Wide = driver::runPipeline(Source, WideOpt);
+void sweepOne(const std::string &Source, const char *Label,
+              PrecisionDelta (&Agg)[NumSweepBounds]) {
+  driver::PipelineResult Exact = driver::runPipeline(Source);
   ASSERT_TRUE(Exact.ok()) << Label << ": " << Exact.Diags.str();
-  ASSERT_TRUE(Wide.ok()) << Label << ": " << Wide.Diags.str();
-  ASSERT_TRUE(Exact.Afl.Ok && Wide.Afl.Ok) << Label;
+  ASSERT_TRUE(Exact.Afl.Ok) << Label;
 
-  // Soundness: the widened completion still computes the same value...
-  EXPECT_EQ(Exact.Afl.ResultText, Wide.Afl.ResultText) << Label;
-  // ...and its memory behavior stays within the conservative envelope
-  // (the paper's never-worse-than-T-T guarantee must survive widening).
-  ASSERT_TRUE(Wide.Conservative.Ok) << Label;
-  EXPECT_LE(Wide.Afl.S.MaxValues, Wide.Conservative.S.MaxValues) << Label;
+  for (size_t I = 0; I != NumSweepBounds; ++I) {
+    unsigned K = SweepBounds[I];
+    driver::PipelineOptions WideOpt;
+    WideOpt.ClosureOptions = widenedOpts(K);
+    driver::PipelineResult Wide = driver::runPipeline(Source, WideOpt);
+    ASSERT_TRUE(Wide.ok()) << Label << " K=" << K << ": "
+                           << Wide.Diags.str();
+    ASSERT_TRUE(Wide.Afl.Ok) << Label << " K=" << K;
 
-  // Precision: count what the merge cost at runtime.
-  long long DAllocs =
-      static_cast<long long>(Wide.Afl.S.TotalValueAllocs) -
-      static_cast<long long>(Exact.Afl.S.TotalValueAllocs);
-  long long DPeak = static_cast<long long>(Wide.Afl.S.MaxValues) -
-                    static_cast<long long>(Exact.Afl.S.MaxValues);
-  ++Agg.Programs;
-  if (DAllocs != 0 || DPeak != 0)
-    ++Agg.Regressed;
-  Agg.ExtraValueAllocs += DAllocs;
-  Agg.ExtraPeakValues += DPeak;
+    // Soundness: the widened completion still computes the same value...
+    EXPECT_EQ(Exact.Afl.ResultText, Wide.Afl.ResultText)
+        << Label << " K=" << K;
+    // ...and its memory behavior stays within the conservative envelope
+    // (the paper's never-worse-than-T-T guarantee must survive widening).
+    ASSERT_TRUE(Wide.Conservative.Ok) << Label << " K=" << K;
+    EXPECT_LE(Wide.Afl.S.MaxValues, Wide.Conservative.S.MaxValues)
+        << Label << " K=" << K;
+
+    // Precision: count what the merge cost at runtime.
+    long long DAllocs =
+        static_cast<long long>(Wide.Afl.S.TotalValueAllocs) -
+        static_cast<long long>(Exact.Afl.S.TotalValueAllocs);
+    long long DPeak = static_cast<long long>(Wide.Afl.S.MaxValues) -
+                      static_cast<long long>(Exact.Afl.S.MaxValues);
+    PrecisionDelta &D = Agg[I];
+    ++D.Programs;
+    if (DAllocs != 0 || DPeak != 0)
+      ++D.Regressed;
+    D.ExtraValueAllocs += DAllocs;
+    D.ExtraPeakValues += DPeak;
+  }
 }
 
 TEST(ClosureWidening, PrecisionSweepCorpusAndRandom500) {
-  const unsigned K = 2;
-  PrecisionDelta Agg;
+  PrecisionDelta Agg[NumSweepBounds];
 
   for (const programs::BenchProgram &P : programs::smallCorpus()) {
-    sweepOne(P.Source, P.Name.c_str(), K, Agg);
+    sweepOne(P.Source, P.Name.c_str(), Agg);
     if (::testing::Test::HasFatalFailure())
       return;
   }
-  sweepOne(programs::permSource(4, 3), "Perm(4,3)", K, Agg);
+  sweepOne(programs::permSource(4, 3), "Perm(4,3)", Agg);
 
   for (unsigned Seed = 0; Seed != 500; ++Seed) {
     programs::RandomProgramOptions Options;
@@ -434,27 +440,30 @@ TEST(ClosureWidening, PrecisionSweepCorpusAndRandom500) {
     Options.NestedHof = Seed % 7 == 0;
     std::string Source = programs::generateRandomProgram(Seed, Options);
     std::string Label = "seed " + std::to_string(Seed);
-    sweepOne(Source, Label.c_str(), K, Agg);
+    sweepOne(Source, Label.c_str(), Agg);
     if (::testing::Test::HasFatalFailure())
       return;
   }
 
   // The harness is about *measuring* the loss, not forbidding it; what
   // must hold is that the sweep ran everything.
-  EXPECT_EQ(Agg.Programs, 508u);
-  ::testing::Test::RecordProperty("widening_k", static_cast<int>(K));
-  ::testing::Test::RecordProperty("programs",
-                                  static_cast<int>(Agg.Programs));
-  ::testing::Test::RecordProperty("programs_with_delta",
-                                  static_cast<int>(Agg.Regressed));
-  ::testing::Test::RecordProperty("extra_value_allocs",
-                                  static_cast<int>(Agg.ExtraValueAllocs));
-  ::testing::Test::RecordProperty("extra_peak_values",
-                                  static_cast<int>(Agg.ExtraPeakValues));
-  std::printf("widening precision (K=%u): %zu programs, %zu with a "
-              "delta, %+lld value allocs, %+lld peak values vs exact\n",
-              K, Agg.Programs, Agg.Regressed, Agg.ExtraValueAllocs,
-              Agg.ExtraPeakValues);
+  for (size_t I = 0; I != NumSweepBounds; ++I) {
+    const PrecisionDelta &D = Agg[I];
+    std::string K = "k" + std::to_string(SweepBounds[I]) + "_";
+    EXPECT_EQ(D.Programs, 508u) << K;
+    ::testing::Test::RecordProperty(K + "programs",
+                                    static_cast<int>(D.Programs));
+    ::testing::Test::RecordProperty(K + "programs_with_delta",
+                                    static_cast<int>(D.Regressed));
+    ::testing::Test::RecordProperty(K + "extra_value_allocs",
+                                    static_cast<int>(D.ExtraValueAllocs));
+    ::testing::Test::RecordProperty(K + "extra_peak_values",
+                                    static_cast<int>(D.ExtraPeakValues));
+    std::printf("widening precision (K=%u): %zu programs, %zu with a "
+                "delta, %+lld value allocs, %+lld peak values vs exact\n",
+                SweepBounds[I], D.Programs, D.Regressed, D.ExtraValueAllocs,
+                D.ExtraPeakValues);
+  }
 }
 
 } // namespace

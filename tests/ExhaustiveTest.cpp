@@ -5,6 +5,7 @@
 // immediately-applied closures, shadowing).
 
 #include "driver/Pipeline.h"
+#include "interp/Interp.h"
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,25 @@ using namespace afl;
 
 namespace {
 
-/// Runs the pipeline and checks the full property set.
+/// Reruns completion \p C on the Fig. 2 tree walker, which must reproduce
+/// the VM run \p Vm: its result text and all five Table 2 counters.
+void expectTreeMatches(const driver::PipelineResult &R,
+                       const regions::Completion &C,
+                       const interp::RunResult &Vm) {
+  interp::RunOptions Opts;
+  Opts.Backend = interp::BackendKind::Tree;
+  interp::RunResult Tree = interp::run(*R.Prog, C, Opts);
+  ASSERT_TRUE(Tree.Ok) << Tree.Error;
+  EXPECT_EQ(Tree.ResultText, Vm.ResultText);
+  EXPECT_EQ(Tree.S.MaxRegions, Vm.S.MaxRegions);
+  EXPECT_EQ(Tree.S.TotalRegionAllocs, Vm.S.TotalRegionAllocs);
+  EXPECT_EQ(Tree.S.TotalValueAllocs, Vm.S.TotalValueAllocs);
+  EXPECT_EQ(Tree.S.MaxValues, Vm.S.MaxValues);
+  EXPECT_EQ(Tree.S.FinalValues, Vm.S.FinalValues);
+}
+
+/// Runs the pipeline and checks the full property set, then replays both
+/// completions on the tree walker (the differential oracle of the VM).
 void checkAll(const std::string &Source) {
   SCOPED_TRACE(Source);
   driver::PipelineResult R = driver::runPipeline(Source);
@@ -22,6 +41,8 @@ void checkAll(const std::string &Source) {
   EXPECT_LE(R.Afl.S.MaxValues, R.Conservative.S.MaxValues);
   EXPECT_EQ(R.Afl.S.TotalValueAllocs, R.Conservative.S.TotalValueAllocs);
   EXPECT_TRUE(R.Analysis.Solved);
+  expectTreeMatches(R, R.ConservativeC, R.Conservative);
+  expectTreeMatches(R, R.AflC, R.Afl);
 }
 
 // Small "atoms" to plug into combinator shapes.

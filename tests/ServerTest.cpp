@@ -17,7 +17,6 @@
 #include "driver/Pipeline.h"
 #include "driver/Server.h"
 #include "driver/Session.h"
-#include "interp/Interp.h"
 #include "programs/Corpus.h"
 #include "solver/Solver.h"
 #include "support/Json.h"
@@ -213,11 +212,8 @@ TEST(ServerProtocol, RunQueryExecutesDocument) {
   ASSERT_TRUE(okOf(Q));
   EXPECT_TRUE(dig(Q, {"result", "run", "ok"})->asBool());
   EXPECT_EQ(dig(Q, {"result", "run", "result"})->asString(), "3");
-  // Served runs use the process-default backend (VM unless
-  // $AFL_INTERP=tree, e.g. the CI tree-walker leg).
-  const char *Backend =
-      interp::defaultBackend() == interp::BackendKind::Vm ? "vm" : "tree";
-  EXPECT_EQ(dig(Q, {"result", "run", "backend"})->asString(), Backend);
+  // Served runs always use the bytecode VM.
+  EXPECT_EQ(dig(Q, {"result", "run", "backend"})->asString(), "vm");
   EXPECT_GT(dig(Q, {"result", "run", "stats", "value_allocs"})->asInt(), 0);
   EXPECT_GT(dig(Q, {"result", "run", "stats", "memory_ops"})->asInt(), 0);
   ASSERT_NE(dig(Q, {"result", "run", "micros", "total_us"}), nullptr);
@@ -245,6 +241,39 @@ TEST(ServerProtocol, TimingsPresentOnEveryResponse) {
     ASSERT_NE(Total, nullptr) << Req;
     EXPECT_TRUE(Total->isInt()) << Req;
   }
+}
+
+TEST(ServerProtocol, MetricsArenaPoolKeysMatchAflcMetrics) {
+  // `query metrics` and `aflc --metrics` report the arena pool through
+  // one emitter (driver::recordMemoryMetrics), so the server's
+  // memory.arena_pool object has exactly the CLI scope's keys, in order.
+  MetricsRegistry Cli;
+  driver::recordMemoryMetrics(Cli);
+  json::Value CliJson;
+  std::string Error;
+  ASSERT_TRUE(json::parseJson(Cli.json(), CliJson, Error)) << Error;
+  const json::Value *CliPool = dig(CliJson, {"memory", "arena_pool"});
+  ASSERT_NE(CliPool, nullptr);
+  std::vector<std::string> CliKeys;
+  for (const auto &[Key, V] : CliPool->members())
+    CliKeys.push_back(Key);
+
+  driver::Session S;
+  json::Value M =
+      call(S, "{\"method\":\"query\",\"params\":{\"what\":\"metrics\"}}");
+  ASSERT_TRUE(okOf(M));
+  const json::Value *Pool =
+      dig(M, {"result", "metrics", "memory", "arena_pool"});
+  ASSERT_NE(Pool, nullptr);
+  std::vector<std::string> Keys;
+  for (const auto &[Key, V] : Pool->members()) {
+    Keys.push_back(Key);
+    EXPECT_TRUE(V.isInt()) << Key;
+  }
+  EXPECT_EQ(Keys, CliKeys);
+  // The drop count and the cap are part of the shared scope.
+  EXPECT_NE(Pool->find("discarded"), nullptr);
+  EXPECT_NE(Pool->find("max_pooled"), nullptr);
 }
 
 //===----------------------------------------------------------------------===//

@@ -25,11 +25,9 @@
 ///                        abstract region environments that agree on
 ///                        the consumer-visible regions once a closure
 ///                        exceeds K invisible color classes (bare
-///                        flag: K=8; 0 disables; default:
-///                        $AFL_CLOSURE_WIDEN or off)
+///                        flag: K=8; 0 or absent: exact analysis)
 ///   --interp=vm|tree     evaluator for the instrumented runs: bytecode
 ///                        VM (default) or the Fig. 2 tree walker
-///                        (default: $AFL_INTERP or vm)
 ///   --no-run             analysis only (skip the instrumented runs)
 ///   --timings            print the per-stage wall-time table
 ///   --metrics[=FILE]     emit per-stage metrics as JSON (stdout or FILE)
@@ -37,13 +35,13 @@
 ///   -j N                 worker threads for --batch (default: all cores)
 ///   --serve              incremental analysis server: newline-delimited
 ///                        JSON requests on stdin, responses on stdout
-///                        (protocol in docs/SERVER.md)
+///                        (protocol in docs/SERVER.md); it always runs
+///                        the default pipeline, so the ablation, oracle,
+///                        widening and --interp flags are usage errors
+///                        with --serve or --listen
 ///
-/// Environment:
-///   AFL_ARENA_POOL=0|1       disable/enable the process-wide arena pool
-///                            (default: 1; see docs/OBSERVABILITY.md)
-///   AFL_ARENA_POOL_MAX=N     retention cap of the arena pool (default 32)
-///   AFL_CLOSURE_WIDEN=K      default widening bound (see --closure-widen)
+/// aflc reads no environment variables: command-line flags are the only
+/// configuration.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,7 +55,6 @@
 #include "programs/Corpus.h"
 #include "regions/RegionPrinter.h"
 #include "regions/Validator.h"
-#include "support/ArenaPool.h"
 #include "support/CliParse.h"
 #include "support/FileIO.h"
 
@@ -74,6 +71,10 @@ using namespace afl;
 
 namespace {
 
+/// Version of the `--metrics` JSON schema: bumped whenever a key is
+/// removed or changes meaning (docs/OBSERVABILITY.md).
+constexpr unsigned MetricsSchemaVersion = 2;
+
 void usage() {
   std::fprintf(
       stderr,
@@ -87,23 +88,22 @@ void usage() {
       "  --closure-restart   reference closure fixpoint (restart mode)\n"
       "  --no-simplify       solve the raw constraint system (oracle)\n"
       "  --closure-widen[=K] merge closure contexts past K invisible\n"
-      "                      color classes (bare: K=8; 0 = off;\n"
-      "                      default: $AFL_CLOSURE_WIDEN or off)\n"
+      "                      color classes (bare: K=8; default 0 = off)\n"
       "  --dump-constraints  print the generated constraint system\n"
-      "  --interp=vm|tree    evaluator for the runs (default: $AFL_INTERP "
-      "or vm)\n"
+      "  --interp=vm|tree    evaluator for the runs (default: vm)\n"
       "  --no-run            skip instrumented runs\n"
       "  --timings           per-stage wall-time table\n"
       "  --metrics[=FILE]    per-stage metrics as JSON\n"
       "  --batch DIR [-j N]  run every .afl file under DIR concurrently\n"
       "  --serve             incremental analysis server on stdin/stdout\n"
+      "                      (default pipeline only: refuses the ablation,\n"
+      "                      oracle, --closure-widen and --interp flags)\n"
       "  --listen PORT       serve on 127.0.0.1:PORT instead (0 = ephemeral;\n"
       "                      implies --serve; prints the bound port on stderr)\n"
       "  --max-connections N concurrent-connection cap in listen mode "
       "(default 8)\n"
       "  --idle-timeout SECS close idle connections after SECS (0 = never;\n"
-      "                      default 300)\n"
-      "  env: AFL_ARENA_POOL=0|1, AFL_ARENA_POOL_MAX=N  arena pooling\n");
+      "                      default 300)\n");
 }
 
 /// Strictly parses the numeric argument \p Text of \p Flag. Anything
@@ -122,16 +122,15 @@ unsigned parseJobsArg(const char *Flag, const char *Text) {
   return Value;
 }
 
-/// Strictly parses the backend name of --interp= / $AFL_INTERP. Unlike
-/// the library's lenient defaultBackend(), a typo here ("v", "treee")
+/// Strictly parses the backend name of --interp=: a typo ("v", "treee")
 /// is a usage error, not a silent fallback to the VM.
-interp::BackendKind parseInterpArg(const char *What, const char *Text) {
+interp::BackendKind parseInterpArg(const char *Text) {
   interp::BackendKind B = interp::BackendKind::Vm;
   if (!interp::parseBackendName(Text, B)) {
     std::fprintf(stderr,
-                 "aflc: invalid value '%s' for %s (expected 'vm' or "
+                 "aflc: invalid value '%s' for --interp (expected 'vm' or "
                  "'tree')\n",
-                 Text, What);
+                 Text);
     usage();
     std::exit(2);
   }
@@ -237,7 +236,7 @@ int runBatchMode(const std::string &Dir, const driver::PipelineOptions &Options,
 
   if (Metrics) {
     MetricsRegistry Reg;
-    Reg.set("aflc_metrics_version", 1);
+    Reg.set("aflc_metrics_version", MetricsSchemaVersion);
     {
       MetricScope S(Reg, "batch");
       Batch.recordMetrics(Reg);
@@ -264,37 +263,19 @@ int main(int Argc, char **Argv) {
   constraints::GenOptions Gen;
   solver::SolveOptions Solve;
   closure::ClosureOptions Closure;
-
-  // The library reads $AFL_INTERP leniently; the CLI rejects a bad value
-  // up front so a typo cannot silently run the wrong evaluator.
   interp::BackendKind Backend = interp::BackendKind::Vm;
-  if (const char *Env = std::getenv("AFL_INTERP"))
-    Backend = parseInterpArg("$AFL_INTERP", Env);
-
-  // Same strictness for the arena-pool knobs: the library treats anything
-  // but "0" as enabled, but a typo here ("ture", "off") is a usage error.
-  if (const char *Env = std::getenv("AFL_ARENA_POOL")) {
-    bool Enabled = true;
-    if (!parseCliToggle(Env, Enabled)) {
-      std::fprintf(stderr,
-                   "aflc: invalid value '%s' for $AFL_ARENA_POOL "
-                   "(expected '0' or '1')\n",
-                   Env);
-      usage();
-      return 2;
-    }
-    ArenaPool::setGlobalEnabled(Enabled);
-  }
-  if (const char *Env = std::getenv("AFL_ARENA_POOL_MAX"))
-    ArenaPool::global().setMaxPooled(
-        parseJobsArg("$AFL_ARENA_POOL_MAX", Env));
-  // The library reads $AFL_CLOSURE_WIDEN leniently (invalid -> widening
-  // off); here a typo is a usage error, not a silently-exact analysis.
-  if (const char *Env = std::getenv("AFL_CLOSURE_WIDEN"))
-    Closure.Widening = parseJobsArg("$AFL_CLOSURE_WIDEN", Env);
+  // The first flag that configures the one-shot/batch pipeline; the
+  // server does not take PipelineOptions, so with --serve it is refused.
+  std::string PipelineFlag;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    if (PipelineFlag.empty() &&
+        (Arg.rfind("--interp=", 0) == 0 || Arg == "--no-simplify" ||
+         Arg.rfind("--closure-widen", 0) == 0 || Arg == "--closure-restart" ||
+         Arg == "--no-freeapp" || Arg == "--lexical-alloc" ||
+         Arg == "--lexical-free"))
+      PipelineFlag = Arg;
     if (Arg.rfind("--emit=", 0) == 0) {
       Emit = Arg.substr(7);
       if (Emit != "afl" && Emit != "tt" && Emit != "both") {
@@ -308,7 +289,7 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--validate") {
       Validate = true;
     } else if (Arg.rfind("--interp=", 0) == 0) {
-      Backend = parseInterpArg("--interp", Arg.c_str() + 9);
+      Backend = parseInterpArg(Arg.c_str() + 9);
     } else if (Arg == "--no-run") {
       NoRun = true;
     } else if (Arg == "--serve") {
@@ -423,6 +404,15 @@ int main(int Argc, char **Argv) {
       Source = Arg;
     }
   }
+  if (Serve && !PipelineFlag.empty()) {
+    std::fprintf(stderr,
+                 "aflc: '%s' is not supported with --serve or --listen (the "
+                 "server always runs the default pipeline)\n",
+                 PipelineFlag.c_str());
+    usage();
+    return 2;
+  }
+
   driver::PipelineOptions Options;
   Options.SkipRuns = NoRun;
   Options.RecordTrace = !TraceFile.empty();
@@ -520,7 +510,7 @@ int main(int Argc, char **Argv) {
 
   if (Metrics) {
     MetricsRegistry Reg;
-    Reg.set("aflc_metrics_version", 1);
+    Reg.set("aflc_metrics_version", MetricsSchemaVersion);
     {
       MetricScope S(Reg, "pipeline");
       R.recordMetrics(Reg);

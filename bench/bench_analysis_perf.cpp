@@ -214,11 +214,11 @@ void BM_ConstraintGen(benchmark::State &State) {
 }
 BENCHMARK(BM_ConstraintGen)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
 
-/// Combined generation+solve with emission-time sharding: the system is
-/// regenerated every iteration, so the measurement includes the
-/// incremental union-find tracking and the shard finalization that the
-/// sharded solve path consumes (no component discovery at solve time).
-void BM_CongenSharded(benchmark::State &State) {
+/// Combined generation + production solve: the system is regenerated
+/// every iteration, so the measurement includes the emission-time
+/// union-find tracking and the shard finalization the solver consumes
+/// (no component discovery at solve time).
+void BM_ConstraintGenAndSolve(benchmark::State &State) {
   std::string Src = chainProgram(static_cast<int>(State.range(0)));
   auto F = frontend(Src);
   auto Prog = regions::inferRegions(F->Ast, F->Ctx, F->Typed, F->Diags);
@@ -235,22 +235,7 @@ void BM_CongenSharded(benchmark::State &State) {
   State.counters["shards"] = static_cast<double>(Shards);
   State.counters["largest_shard"] = static_cast<double>(Largest);
 }
-BENCHMARK(BM_CongenSharded)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
-
-void BM_ConstraintGenAndSolve(benchmark::State &State) {
-  std::string Src = chainProgram(static_cast<int>(State.range(0)));
-  auto F = frontend(Src);
-  auto Prog = regions::inferRegions(F->Ast, F->Ctx, F->Typed, F->Diags);
-  closure::ClosureAnalysis CA(*Prog);
-  CA.run();
-  for (auto _ : State) {
-    constraints::GenResult Gen =
-        constraints::generateConstraints(*Prog, CA);
-    solver::SolveResult Sol = solver::solve(Gen.Sys);
-    benchmark::DoNotOptimize(Sol.Sat);
-  }
-}
-BENCHMARK(BM_ConstraintGenAndSolve)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_ConstraintGenAndSolve)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
 
 /// Solve-stage series: the same generated constraint system solved raw
 /// (the §4.3 oracle on the unsimplified system) and on the production

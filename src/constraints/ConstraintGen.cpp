@@ -1,9 +1,10 @@
 #include "constraints/ConstraintGen.h"
 
 #include "constraints/StateVecInterner.h"
+#include "support/Metrics.h"
 
 #include <algorithm>
-#include <chrono>
+#include <numeric>
 
 using namespace afl;
 using namespace afl::constraints;
@@ -19,15 +20,23 @@ using ShapeId = StateVecInterner::ShapeId;
 
 /// A state vector: region color → state variable. The color half (the
 /// *shape*) is interned — identical ascending color sets across contexts
-/// share one ShapeId — so only the variable half is stored per vector,
-/// and entry i holds the variable of the shape's i-th color. Iteration
-/// is in ascending color order, the order the previous flat-pair
-/// representation produced, so the emitted constraint system is
-/// unchanged.
+/// share one ShapeId — and the variable half is a span of the
+/// generator's id pool: entry i, at `Pool[Off + i]`, holds the variable
+/// of the shape's i-th color. Iteration is in ascending color order, so
+/// emission order does not depend on the representation.
+///
+/// Vectors are values over shared storage: a same-shape projection
+/// returns its argument, so a span may be reachable from several
+/// vectors (and from a cached context). Nothing rewrites a span in place
+/// unless it cloned the span first.
 struct StateVec {
   ShapeId Shape = StateVecInterner::Empty;
-  std::vector<StateVarId> Vars;
+  uint32_t Off = 0;
 };
+
+constexpr StateVarId NoState = ~0u;
+constexpr BoolVarId NoBool = ~0u;
+constexpr uint32_t NoSlot = ~0u;
 
 class Generator {
 public:
@@ -38,8 +47,7 @@ public:
     // Pre-size: genApp holds references into this across recursion, so
     // the vector must never reallocate.
     CalleeCache.resize(CA.numClosures());
-    for (auto &Index : BoolIndex)
-      Index.resize(Prog.numNodes());
+    SlotBase.assign(Prog.numNodes(), NoSlot);
   }
 
   void run() {
@@ -49,10 +57,12 @@ public:
     // must be allocated. (They are reclaimed by program exit.)
     for (RegionVarId R : Prog.GlobalRegions) {
       Color C = CA.envs().colorOf(CA.rootEnv(), R);
-      if (const StateVarId *S = svFind(Root.In, C))
-        Out.Sys.restrictState(*S, StU);
-      if (const StateVarId *S = svFind(Root.Out, C))
-        Out.Sys.restrictState(*S, StA);
+      StateVarId S = svFind(Root.In, C);
+      if (S != NoState)
+        Out.Sys.restrictState(S, StU);
+      S = svFind(Root.Out, C);
+      if (S != NoState)
+        Out.Sys.restrictState(S, StA);
     }
   }
 
@@ -68,74 +78,133 @@ private:
 
   ConstraintSystem &sys() { return Out.Sys; }
 
-  /// Shared boolean for a syntactic choice point. Indexed per (kind,
-  /// node) as a region→bool list kept sorted by region: the chains ask
-  /// in ascending region order and every context of a node re-asks for
-  /// the same regions, so lookups binary-search a short node-local list
-  /// (the previous linear scan was quadratic in the effect-set size and
-  /// showed up in generation profiles).
-  BoolVarId boolFor(RNodeId Node, COpKind Kind, RegionVarId Region) {
-    auto &Entries =
-        BoolIndex[static_cast<unsigned>(Kind)][Node];
-    auto It = std::lower_bound(
-        Entries.begin(), Entries.end(), Region,
-        [](const auto &E, RegionVarId R) { return E.first < R; });
-    if (It != Entries.end() && It->first == Region)
-      return It->second;
-    BoolVarId B = sys().newBool();
-    Entries.insert(It, {Region, B});
-    Out.Choices.push_back({Node, Kind, Region, B});
+  uint32_t poolSize() const { return static_cast<uint32_t>(Pool.size()); }
+
+  /// First slot of \p N's choice booleans, reserved at its first context:
+  /// alloc_before at `+ i` and free_after at `+ |overall effect| + i` for
+  /// the i-th overall-effect region, then free_app for an application.
+  uint32_t slotsOf(const RExpr *N) {
+    uint32_t &Base = SlotBase[N->id()];
+    if (Base == NoSlot) {
+      Base = static_cast<uint32_t>(Slots.size());
+      Slots.resize(Slots.size() + 2 * N->overallEffect().size() +
+                       (N->kind() == RExpr::Kind::App ? 1 : 0),
+                   NoBool);
+    }
+    return Base;
+  }
+
+  /// The boolean shared by every context of one syntactic choice point,
+  /// created on first use: booleans and `GenResult::Choices` come out in
+  /// first-use order.
+  BoolVarId choice(uint32_t Slot, RNodeId Node, COpKind Kind,
+                   RegionVarId Region) {
+    BoolVarId &B = Slots[Slot];
+    if (B == NoBool) {
+      B = sys().newBool();
+      Out.Choices.push_back({Node, Kind, Region, B});
+    }
     return B;
   }
 
+  /// The color plan of a context's overall effect \p Eff under \p Env:
+  /// the interned shape, and (from PlanPos[Base]) each region's position
+  /// in it — the chain positions, which the post-chain reads after the
+  /// recursion.
+  struct Plan {
+    const RegionSet *Eff = nullptr;
+    RegEnvId Env = 0;
+    ShapeId Shape = StateVecInterner::Empty;
+    size_t Base = 0;
+  };
+
+  /// Makes the plan of (\p Eff, \p Env) current. A context whose effect
+  /// set and environment are the enclosing context's — a node that binds
+  /// no region, reached from its parent — shares the enclosing plan.
+  /// Otherwise each region of \p Eff is resolved to its color once (a
+  /// forward search: the effect set and the environment both ascend by
+  /// region variable), the shape is interned from those colors, and each
+  /// region's position in the shape is pushed onto PlanPos. The caller
+  /// restores the previous plan (and PlanPos) when it leaves.
+  void enterPlan(const RegionSet &Eff, RegEnvId Env) {
+    if (&Eff == CurPlan.Eff && Env == CurPlan.Env)
+      return;
+    const closure::RegEnvMap &Map = CA.envs().get(Env);
+    ColorBuf.clear();
+    auto It = Map.begin();
+    for (RegionVarId R : Eff) {
+      It = std::lower_bound(
+          It, Map.end(), R,
+          [](const auto &Entry, RegionVarId V) { return Entry.first < V; });
+      assert(It != Map.end() && It->first == R &&
+             "overall-effect region not in the context environment");
+      ColorBuf.push_back(It->second);
+    }
+    ShapeBuf.assign(ColorBuf.begin(), ColorBuf.end());
+    std::sort(ShapeBuf.begin(), ShapeBuf.end());
+    ShapeBuf.erase(std::unique(ShapeBuf.begin(), ShapeBuf.end()),
+                   ShapeBuf.end());
+    CurPlan = {&Eff, Env, IV.intern(ShapeBuf), PlanPos.size()};
+    for (Color C : ColorBuf)
+      PlanPos.push_back(static_cast<uint32_t>(
+          std::lower_bound(ShapeBuf.begin(), ShapeBuf.end(), C) -
+          ShapeBuf.begin()));
+  }
+
   StateVec freshVec(ShapeId Shape) {
-    StateVec V;
-    V.Shape = Shape;
+    StateVec V{Shape, poolSize()};
     size_t N = IV.size(Shape);
-    V.Vars.reserve(N);
-    for (size_t I = 0; I != N; ++I)
-      V.Vars.push_back(sys().newState());
+    StateVarId First = sys().newStates(N);
+    Pool.resize(Pool.size() + N);
+    std::iota(Pool.begin() + V.Off, Pool.end(), First);
     return V;
   }
 
-  const StateVarId *svFind(const StateVec &V, Color C) const {
+  /// A private copy of \p V's span, safe to rewrite.
+  StateVec clone(const StateVec &V) {
+    StateVec C{V.Shape, poolSize()};
+    size_t N = IV.size(V.Shape);
+    Pool.resize(Pool.size() + N);
+    std::copy_n(Pool.begin() + V.Off, N, Pool.begin() + C.Off);
+    return C;
+  }
+
+  /// \p V's variable for color \p C, or NoState.
+  StateVarId svFind(const StateVec &V, Color C) const {
     size_t Idx = IV.indexOf(V.Shape, C);
-    if (Idx == FlatSet<Color>::npos)
-      return nullptr;
-    return &V.Vars[Idx];
+    return Idx == FlatSet<Color>::npos ? NoState : Pool[V.Off + Idx];
   }
 
   StateVarId svAt(const StateVec &V, Color C) const {
     size_t Idx = IV.indexOf(V.Shape, C);
     assert(Idx != FlatSet<Color>::npos && "color missing from state vector");
-    return V.Vars[Idx];
+    return Pool[V.Off + Idx];
   }
 
   /// Equates \p A and \p B on their common colors (addEq calls in
-  /// ascending color order, as before). Same shape — the dominant case —
-  /// is a direct pairwise loop; otherwise the memoized common-index map
+  /// ascending color order). Same shape — the dominant case — is a
+  /// direct pairwise loop; otherwise the memoized common-index map
   /// replaces the linear merge.
   void linkEq(const StateVec &A, const StateVec &B) {
     if (A.Shape == B.Shape) {
-      for (size_t I = 0; I != A.Vars.size(); ++I)
-        sys().addEq(A.Vars[I], B.Vars[I]);
+      for (size_t I = 0, N = IV.size(A.Shape); I != N; ++I)
+        sys().addEq(Pool[A.Off + I], Pool[B.Off + I]);
       return;
     }
     for (const auto &[IA, IB] : IV.common(A.Shape, B.Shape))
-      sys().addEq(A.Vars[IA], B.Vars[IB]);
+      sys().addEq(Pool[A.Off + IA], Pool[B.Off + IB]);
   }
 
   /// Projection of \p V onto shape \p To (all of \p To's colors must be
-  /// present in \p V's shape).
+  /// present in \p V's shape). Same shape aliases \p V.
   StateVec project(const StateVec &V, ShapeId To) {
     if (V.Shape == To)
       return V;
-    StateVec P;
-    P.Shape = To;
     const std::vector<uint32_t> &Map = IV.projection(V.Shape, To);
-    P.Vars.reserve(Map.size());
-    for (uint32_t Idx : Map)
-      P.Vars.push_back(V.Vars[Idx]);
+    StateVec P{To, poolSize()};
+    Pool.resize(Pool.size() + Map.size());
+    for (size_t I = 0; I != Map.size(); ++I)
+      Pool[P.Off + I] = Pool[V.Off + Map[I]];
     return P;
   }
 
@@ -159,54 +228,68 @@ private:
       return E;
     E.Done = true;
 
-    ShapeId Sh = IV.intern(CA.envs().colorsOf(Env, N->overallEffect()));
+    const RegionSet &Eff = N->overallEffect();
+    const Plan Outer = CurPlan;
+    const size_t OuterPlanPos = PlanPos.size();
+    const uint32_t Slot = slotsOf(N);
+    enterPlan(Eff, Env);
+    const ShapeId Sh = CurPlan.Shape;
+    const size_t Pos = CurPlan.Base;
     E.In = freshVec(Sh);
     E.Out = freshVec(Sh);
     ++Out.NumContexts;
 
-    // letregion entry: freshly introduced regions start unallocated.
+    // letregion entry: freshly introduced regions start unallocated. A
+    // node's bound regions are in its overall effect.
     for (RegionVarId R : N->boundRegions())
-      sys().restrictState(svAt(E.In, CA.envs().colorOf(Env, R)), StU);
+      sys().restrictState(Pool[E.In.Off + PlanPos[Pos + Eff.indexOf(R)]],
+                          StU);
 
     // Pre-chain: potential alloc_before for every overall-effect region,
     // sequentialized in ascending region order (§4.2: aliased variables
     // must not both fire, which sequential triples guarantee). Under the
     // lexical-allocation ablation, only the introducing node gets a
-    // choice point. The chain rewrites positions of the shared shape in
-    // place — every touched color is in the overall effect, hence in Sh.
-    StateVec Cur = E.In;
-    for (RegionVarId R : N->overallEffect()) {
-      if (!Options.LateAlloc && !introduces(N, R))
+    // choice point. The chain rewrites positions of a private copy of
+    // the In vector — every touched color is in the overall effect,
+    // hence in Sh.
+    StateVec Cur = clone(E.In);
+    for (size_t I = 0; I != Eff.size(); ++I) {
+      if (!Options.LateAlloc && !introduces(N, Eff[I]))
         continue;
-      size_t Idx = IV.indexOf(Sh, CA.envs().colorOf(Env, R));
-      assert(Idx != FlatSet<Color>::npos);
-      BoolVarId B = boolFor(N->id(), COpKind::AllocBefore, R);
+      BoolVarId B = choice(Slot + I, N->id(), COpKind::AllocBefore, Eff[I]);
       StateVarId Next = sys().newState();
-      sys().addAllocTriple(Cur.Vars[Idx], B, Next);
-      Cur.Vars[Idx] = Next;
+      StateVarId &V = Pool[Cur.Off + PlanPos[Pos + I]];
+      sys().addAllocTriple(V, B, Next);
+      V = Next;
     }
 
-    StateVec CoreOut = genCore(N, Env, std::move(Cur));
+    StateVec CoreOut = genCore(N, Env, Cur);
     assert(CoreOut.Shape == Sh && "core must preserve the context shape");
 
     // Post-chain: potential free_after for every overall-effect region.
-    for (RegionVarId R : N->overallEffect()) {
-      if (!Options.EarlyFree && !introduces(N, R))
+    // A core that handed back the pre-chain copy (leaves) is rewritten
+    // in place; any other result may alias a child's cached vector.
+    StateVec Post = CoreOut.Off == Cur.Off ? CoreOut : clone(CoreOut);
+    const size_t Free = Slot + Eff.size();
+    for (size_t I = 0; I != Eff.size(); ++I) {
+      if (!Options.EarlyFree && !introduces(N, Eff[I]))
         continue;
-      size_t Idx = IV.indexOf(Sh, CA.envs().colorOf(Env, R));
-      assert(Idx != FlatSet<Color>::npos);
-      BoolVarId B = boolFor(N->id(), COpKind::FreeAfter, R);
+      BoolVarId B = choice(Free + I, N->id(), COpKind::FreeAfter, Eff[I]);
       StateVarId Next = sys().newState();
-      sys().addDeallocTriple(CoreOut.Vars[Idx], B, Next);
-      CoreOut.Vars[Idx] = Next;
+      StateVarId &V = Pool[Post.Off + PlanPos[Pos + I]];
+      sys().addDeallocTriple(V, B, Next);
+      V = Next;
     }
 
-    linkEq(CoreOut, E.Out);
+    linkEq(Post, E.Out);
 
     // letregion exit: introduced regions must not be left allocated.
     for (RegionVarId R : N->boundRegions())
-      sys().restrictState(svAt(E.Out, CA.envs().colorOf(Env, R)), StU | StD);
+      sys().restrictState(Pool[E.Out.Off + PlanPos[Pos + Eff.indexOf(R)]],
+                          StU | StD);
 
+    CurPlan = Outer;
+    PlanPos.resize(OuterPlanPos);
     return E;
   }
 
@@ -307,13 +390,13 @@ private:
       return AfterRhs;
     }
     case RExpr::Kind::App:
-      return genApp(cast<RAppExpr>(N), Env, std::move(Cur));
+      return genApp(cast<RAppExpr>(N), Env, Cur);
     }
     assert(false && "unknown node kind");
     return Cur;
   }
 
-  StateVec genApp(const RAppExpr *N, RegEnvId Env, StateVec Cur) {
+  StateVec genApp(const RAppExpr *N, RegEnvId Env, const StateVec &Cur) {
     ShapeId My = Cur.Shape;
     StateVec AfterFn = genChild(N->fn(), Env, Cur, My);
     StateVec AfterArg = genChild(N->arg(), Env, AfterFn, My);
@@ -324,15 +407,19 @@ private:
     requireA(AfterArg, ClosColor);
 
     // free_app choice point on the closure's region (§1): after the fetch,
-    // before the body.
+    // before the body. AfterArg may alias the argument's cached vector.
     StateVec FA = AfterArg;
     if (Options.FreeApp) {
       size_t ClosIdx = IV.indexOf(My, ClosColor);
       assert(ClosIdx != FlatSet<Color>::npos);
-      BoolVarId B = boolFor(N->id(), COpKind::FreeApp, ClosRegion);
+      BoolVarId B =
+          choice(slotsOf(N) + 2 * N->overallEffect().size(), N->id(),
+                 COpKind::FreeApp, ClosRegion);
       StateVarId Next = sys().newState();
-      sys().addDeallocTriple(FA.Vars[ClosIdx], B, Next);
-      FA.Vars[ClosIdx] = Next;
+      FA = clone(AfterArg);
+      StateVarId &V = Pool[FA.Off + ClosIdx];
+      sys().addDeallocTriple(V, B, Next);
+      V = Next;
     }
 
     // Caller-side effect colors of the call (set B in Fig. 4). The latent
@@ -392,14 +479,12 @@ private:
       if (Aligned) {
         // Equate caller and callee states over B on entry and exit.
         for (Color C : CalleeB) {
-          const StateVarId *FAS = svFind(FA, C);
-          const StateVarId *BInS = svFind(Body.In, C);
-          if (FAS && BInS)
-            sys().addEq(*FAS, *BInS);
-          const StateVarId *RS = svFind(Result, C);
-          const StateVarId *BOutS = svFind(Body.Out, C);
-          if (RS && BOutS)
-            sys().addEq(*RS, *BOutS);
+          StateVarId FAS = svFind(FA, C), BInS = svFind(Body.In, C);
+          if (FAS != NoState && BInS != NoState)
+            sys().addEq(FAS, BInS);
+          StateVarId RS = svFind(Result, C), BOutS = svFind(Body.Out, C);
+          if (RS != NoState && BOutS != NoState)
+            sys().addEq(RS, BOutS);
         }
         BAll.unionWith(CalleeB);
       } else {
@@ -413,27 +498,21 @@ private:
         for (regions::RegionVarId V : CalleeLatent) {
           if (CA.envs().maps(Env, V)) {
             Color C = CA.envs().colorOf(Env, V);
-            if (const StateVarId *S = svFind(FA, C))
-              sys().restrictState(*S, StA);
-            if (const StateVarId *S = svFind(Result, C))
-              sys().restrictState(*S, StA);
+            pinA(FA, C);
+            pinA(Result, C);
             // The caller may not change this region's state across the
             // call (the callee assumes it allocated throughout).
             BAll.insert(C);
           }
         }
         for (Color C : CallerB) {
-          if (const StateVarId *S = svFind(FA, C))
-            sys().restrictState(*S, StA);
-          if (const StateVarId *S = svFind(Result, C))
-            sys().restrictState(*S, StA);
+          pinA(FA, C);
+          pinA(Result, C);
           BAll.insert(C);
         }
         for (Color C : CalleeB) {
-          if (const StateVarId *S = svFind(Body.In, C))
-            sys().restrictState(*S, StA);
-          if (const StateVarId *S = svFind(Body.Out, C))
-            sys().restrictState(*S, StA);
+          pinA(Body.In, C);
+          pinA(Body.Out, C);
         }
       }
     }
@@ -447,9 +526,16 @@ private:
       Color C = MyColors[I];
       if (BAll.contains(C) && CallerB.contains(C))
         continue;
-      sys().addEq(FA.Vars[I], Result.Vars[I]);
+      sys().addEq(Pool[FA.Off + I], Pool[Result.Off + I]);
     }
     return Result;
+  }
+
+  /// Restricts \p V's variable for \p C, if any, to A.
+  void pinA(const StateVec &V, Color C) {
+    StateVarId S = svFind(V, C);
+    if (S != NoState)
+      sys().restrictState(S, StA);
   }
 
   /// Per-closure call-edge facts: the latent region variables of the
@@ -501,8 +587,18 @@ private:
   std::vector<CtxEntry> CtxCache;
   std::vector<CalleeInfo> CalleeCache;
   std::unordered_map<RNodeId, RegionSet> CallerLatentCache;
-  /// Per choice-point kind and node: (region, boolean variable) pairs.
-  std::vector<std::vector<std::pair<RegionVarId, BoolVarId>>> BoolIndex[5];
+  /// Variable halves of every state vector (see StateVec).
+  std::vector<StateVarId> Pool;
+  /// Per node, the first of its choice slots (NoSlot until its first
+  /// context); Slots holds the booleans (NoBool until first use).
+  std::vector<uint32_t> SlotBase;
+  std::vector<BoolVarId> Slots;
+  /// Chain positions of the plans on the recursion stack, one per
+  /// overall-effect region (see enterPlan), and the current plan.
+  std::vector<uint32_t> PlanPos;
+  Plan CurPlan;
+  /// enterPlan scratch: colors in region order, and the shape.
+  std::vector<Color> ColorBuf, ShapeBuf;
 };
 
 } // namespace
@@ -516,12 +612,10 @@ GenResult constraints::generateConstraints(const RegionProgram &Prog,
   // Finalize the emission-time union-find into CSR shard tables now, so
   // the cost lands in the generation stage (where it is measured) and the
   // solver finds the shards ready.
-  auto T0 = std::chrono::steady_clock::now();
+  Stopwatch Watch;
   Out.Sharding.Shards = Out.Sys.numShards();
   Out.Sharding.LargestShardConstraints = Out.Sys.largestShardConstraints();
   Out.Sharding.InternedShapes = G.numShapes();
-  Out.Sharding.FinalizeSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-          .count();
+  Out.Sharding.FinalizeSeconds = Watch.seconds();
   return Out;
 }

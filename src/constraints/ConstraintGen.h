@@ -30,7 +30,6 @@
 #include "regions/RegionProgram.h"
 
 #include <algorithm>
-#include <map>
 
 namespace afl {
 namespace constraints {

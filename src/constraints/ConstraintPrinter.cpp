@@ -20,8 +20,8 @@ SystemStats constraints::systemStats(const GenResult &Gen) {
       break;
     }
   }
-  for (size_t I = 0; I != Gen.Sys.StateDom.size(); ++I)
-    if (Gen.Sys.StateDom.get(I) != StAny)
+  for (uint8_t D : Gen.Sys.StateDom)
+    if (D != StAny)
       ++S.RestrictedStates;
   for (const ChoicePoint &CP : Gen.Choices) {
     switch (CP.Kind) {

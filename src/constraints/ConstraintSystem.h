@@ -13,8 +13,8 @@
 ///   * deallocation triple (s1, b, s2)_d: b → (s1 = A ∧ s2 = D),
 ///                                       ¬b → s1 = s2
 ///
-/// Domains are bitmasks; the solver performs arc-consistency style
-/// propagation over them.
+/// Domains are bitmasks, one byte lane per variable; the solver performs
+/// arc-consistency style propagation over them.
 ///
 /// The system also tracks connectivity *as constraints are emitted*: a
 /// union-find over the state and boolean variables is updated inside
@@ -29,8 +29,6 @@
 
 #ifndef AFL_CONSTRAINTS_CONSTRAINTSYSTEM_H
 #define AFL_CONSTRAINTS_CONSTRAINTSYSTEM_H
-
-#include "support/PackedDomains.h"
 
 #include <algorithm>
 #include <cstddef>
@@ -77,6 +75,15 @@ public:
     return static_cast<StateVarId>(StateDom.size() - 1);
   }
 
+  /// \p N fresh unconstrained state variables with consecutive ids;
+  /// returns the first.
+  StateVarId newStates(size_t N) {
+    StateVarId First = static_cast<StateVarId>(StateDom.size());
+    StateDom.resize(StateDom.size() + N, StAny);
+    Uf.resize(Uf.size() + N, -1);
+    return First;
+  }
+
   BoolVarId newBool(uint8_t Domain = BAny) {
     BoolDom.push_back(Domain);
     BFirst.push_back(NoVar);
@@ -96,9 +103,7 @@ public:
   }
 
   /// Initial domain restriction (e.g. "this state is A": mask StA).
-  void restrictState(StateVarId S, uint8_t Mask) {
-    StateDom.set(S, StateDom.get(S) & Mask);
-  }
+  void restrictState(StateVarId S, uint8_t Mask) { StateDom[S] &= Mask; }
 
   size_t numStateVars() const { return StateDom.size(); }
   size_t numBoolVars() const { return BoolDom.size(); }
@@ -161,11 +166,10 @@ public:
     return Largest;
   }
 
-  // Solver access. Domains are bit-packed (support/PackedDomains.h):
-  // 3 bits per state variable, 2 per boolean — read with get()/[],
-  // write with set().
-  support::StateDomains StateDom;
-  support::BoolDomains BoolDom;
+  // Solver access: one domain byte per variable (StU/StA/StD and
+  // BFalse/BTrue bits), the lanes the solver propagates over.
+  std::vector<uint8_t> StateDom;
+  std::vector<uint8_t> BoolDom;
   std::vector<Constraint> Cons;
 
 private:
@@ -242,42 +246,54 @@ private:
       return;
     const size_t NS = StateDom.size(), NB = BoolDom.size();
 
-    // Memoize each variable's shard so the counting and filling passes
-    // below are straight array reads. A state variable whose union-find
-    // class is still a singleton (root slot -1) occurs in no constraint
-    // — addConstraint leaves no constrained class at size one — and
-    // belongs to no shard; a boolean's shard is its first triple's
-    // endpoint shard, picked up in the constraint sweep. NumShards is
-    // also the shard-numbering pass: ascending smallest member state
-    // variable.
-    std::vector<uint32_t> ShardOfRoot(Uf.size(), NoShard);
-    std::vector<uint32_t> SShard(NS, NoShard), BShard(NB, NoShard);
+    // One id array maps every variable to its shard: state S at S,
+    // boolean B at NS + B. During the state scan a root's slot doubles
+    // as the root->shard map — a root's shard is its own shard, and the
+    // scan numbers the class at its smallest member, before or at the
+    // root itself. A state variable whose union-find class is still a
+    // singleton (root slot -1) occurs in no constraint — addConstraint
+    // leaves no constrained class at size one — and belongs to no shard;
+    // a boolean's shard is its first triple's endpoint shard, picked up
+    // in the constraint sweep.
+    //
+    // The CSR tables are filled through in-place cursors: shard K's
+    // count goes to Start[K + 2], the prefix sum turns Start[K + 1] into
+    // K's first slot, the fill advances Start[K + 1] to K's end (= K+1's
+    // first slot), and the spare last entry is dropped.
+    std::vector<uint32_t> ShardOf(NS + NB, NoShard);
     NumShards = 0;
-    ShardStateStart.assign(1, 0);
+    ShardStateStart.assign(2, 0);
     for (StateVarId S = 0; S != NS; ++S) {
-      if (Uf[S] == -1)
+      const int32_t P = Uf[S];
+      if (P == -1)
         continue;
-      uint32_t R = find(S);
-      if (ShardOfRoot[R] == NoShard) {
-        ShardOfRoot[R] = static_cast<uint32_t>(NumShards++);
-        ShardStateStart.push_back(0);
+      uint32_t K;
+      if (P >= 0 && static_cast<uint32_t>(P) < S) {
+        K = ShardOf[P]; // the parent is numbered already
+      } else {
+        uint32_t &RootShard = ShardOf[find(S)];
+        if (RootShard == NoShard) {
+          RootShard = static_cast<uint32_t>(NumShards++);
+          ShardStateStart.push_back(0);
+        }
+        K = RootShard;
       }
-      SShard[S] = ShardOfRoot[R];
-      ++ShardStateStart[ShardOfRoot[R] + 1];
+      ShardOf[S] = K;
+      ++ShardStateStart[K + 2];
     }
 
-    ShardConsStart.assign(NumShards + 1, 0);
-    ShardBoolStart.assign(NumShards + 1, 0);
+    ShardConsStart.assign(NumShards + 2, 0);
+    ShardBoolStart.assign(NumShards + 2, 0);
     for (const Constraint &C : Cons) {
-      uint32_t K = SShard[C.S1];
-      ++ShardConsStart[K + 1];
+      uint32_t K = ShardOf[C.S1];
+      ++ShardConsStart[K + 2];
       if (C.K != Constraint::Kind::Eq)
-        BShard[C.B] = K;
+        ShardOf[NS + C.B] = K;
     }
     for (BoolVarId B = 0; B != NB; ++B)
-      if (BShard[B] != NoShard)
-        ++ShardBoolStart[BShard[B] + 1];
-    for (size_t K = 1; K <= NumShards; ++K) {
+      if (ShardOf[NS + B] != NoShard)
+        ++ShardBoolStart[ShardOf[NS + B] + 2];
+    for (size_t K = 2; K <= NumShards + 1; ++K) {
       ShardConsStart[K] += ShardConsStart[K - 1];
       ShardStateStart[K] += ShardStateStart[K - 1];
       ShardBoolStart[K] += ShardBoolStart[K - 1];
@@ -285,20 +301,17 @@ private:
     ShardConsData.resize(ShardConsStart.back());
     ShardStateData.resize(ShardStateStart.back());
     ShardBoolData.resize(ShardBoolStart.back());
-    std::vector<uint32_t> ConsCur(ShardConsStart.begin(),
-                                  ShardConsStart.end() - 1);
-    std::vector<uint32_t> StateCur(ShardStateStart.begin(),
-                                   ShardStateStart.end() - 1);
-    std::vector<uint32_t> BoolCur(ShardBoolStart.begin(),
-                                  ShardBoolStart.end() - 1);
     for (uint32_t Idx = 0; Idx != Cons.size(); ++Idx)
-      ShardConsData[ConsCur[SShard[Cons[Idx].S1]]++] = Idx;
+      ShardConsData[ShardConsStart[ShardOf[Cons[Idx].S1] + 1]++] = Idx;
     for (StateVarId S = 0; S != NS; ++S)
-      if (SShard[S] != NoShard)
-        ShardStateData[StateCur[SShard[S]]++] = S;
+      if (ShardOf[S] != NoShard)
+        ShardStateData[ShardStateStart[ShardOf[S] + 1]++] = S;
     for (BoolVarId B = 0; B != NB; ++B)
-      if (BShard[B] != NoShard)
-        ShardBoolData[BoolCur[BShard[B]]++] = B;
+      if (ShardOf[NS + B] != NoShard)
+        ShardBoolData[ShardBoolStart[ShardOf[NS + B] + 1]++] = B;
+    ShardConsStart.pop_back();
+    ShardStateStart.pop_back();
+    ShardBoolStart.pop_back();
 
     ShardsConsBuilt = Cons.size();
     ShardSCount = StateDom.size();

@@ -9,7 +9,7 @@
 /// set). Interning the color half — the shape — the way closure value
 /// sets are interned (support/SetInterner.h) buys two things:
 ///
-///   * a state vector becomes {ShapeId, parallel variable array}, so
+///   * a state vector becomes {ShapeId, span of variable ids}, so
 ///     same-shape operations (the common case: a node's In/Out vectors,
 ///     its chain updates, its children's projections onto it) are direct
 ///     index loops with no searching at all;
@@ -51,18 +51,20 @@ public:
 
   StateVecInterner() {
     Shapes.emplace_back();
-    Buckets.emplace(hashColors(Shapes[0]), std::vector<ShapeId>{Empty});
+    Buckets.emplace(hashColors(Shapes[0].raw()), std::vector<ShapeId>{Empty});
   }
 
-  /// Interns \p Colors, returning the dense id of the canonical copy.
-  ShapeId intern(const FlatSet<closure::Color> &Colors) {
+  /// Interns the strictly ascending color list \p Colors (a caller's
+  /// scratch buffer: only a new shape is copied), returning the dense id
+  /// of the canonical copy.
+  ShapeId intern(const std::vector<closure::Color> &Colors) {
     uint64_t H = hashColors(Colors);
     std::vector<ShapeId> &Bucket = Buckets[H];
     for (ShapeId Id : Bucket)
-      if (Shapes[Id] == Colors)
+      if (Shapes[Id].raw() == Colors)
         return Id;
     ShapeId Id = static_cast<ShapeId>(Shapes.size());
-    Shapes.push_back(Colors);
+    Shapes.push_back(FlatSet<closure::Color>::fromSorted(Colors));
     Bucket.push_back(Id);
     return Id;
   }
@@ -137,7 +139,7 @@ private:
     return (static_cast<uint64_t>(A) << 32) | B;
   }
 
-  static uint64_t hashColors(const FlatSet<closure::Color> &S) {
+  static uint64_t hashColors(const std::vector<closure::Color> &S) {
     uint64_t H = 0xcbf29ce484222325ull;
     for (closure::Color X : S) {
       H ^= static_cast<uint64_t>(X) + 0x9e3779b97f4a7c15ull;

@@ -54,14 +54,12 @@ std::string reportJson(const completion::CompletionReport &R) {
 }
 
 /// A solver domain vector as a compact digit string ('1'..'7' per state
-/// var, '1'..'3' per bool var). Takes the packed lane arrays
-/// (support/PackedDomains.h) the solver now returns.
-template <unsigned Bits>
-std::string domainString(const support::PackedArray<Bits> &Dom) {
+/// var, '1'..'3' per bool var).
+std::string domainString(const std::vector<uint8_t> &Dom) {
   std::string O;
   O.reserve(Dom.size());
-  for (size_t I = 0; I != Dom.size(); ++I)
-    O.push_back(static_cast<char>('0' + (Dom.get(I) & 7)));
+  for (uint8_t D : Dom)
+    O.push_back(static_cast<char>('0' + (D & 7)));
   return O;
 }
 

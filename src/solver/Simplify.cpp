@@ -35,9 +35,9 @@ bool solver::simplifyGroup(const ConstraintSystem &Sys, uint32_t KBegin,
   size_t NumCons = 0;
   for (uint32_t K = KBegin; K != KEnd; ++K) {
     for (uint32_t S : Sys.shardStates(K))
-      Dom.push_back(Sys.StateDom.get(S));
+      Dom.push_back(Sys.StateDom[S]);
     for (uint32_t B : Sys.shardBools(K))
-      W.BD.push_back(Sys.BoolDom.get(B));
+      W.BD.push_back(Sys.BoolDom[B]);
     NumCons += Sys.shardConstraints(K).size();
   }
   const uint32_t NS = static_cast<uint32_t>(Dom.size());

@@ -338,12 +338,12 @@ bool Core::run() {
 SolveResult solveRaw(const ConstraintSystem &Sys) {
   SolveResult R;
   Workspace W;
-  W.SD = Sys.StateDom.unpack();
-  W.BD = Sys.BoolDom.unpack();
+  W.SD = Sys.StateDom;
+  W.BD = Sys.BoolDom;
   if (Core(W, Sys.Cons.data(), Sys.Cons.size(), R).run()) {
     R.Sat = true;
-    R.StateDom = support::StateDomains::pack(W.SD);
-    R.BoolDom = support::BoolDomains::pack(W.BD);
+    R.StateDom = std::move(W.SD);
+    R.BoolDom = std::move(W.BD);
   }
   return R;
 }
@@ -401,19 +401,28 @@ void finishSharded(const ConstraintSystem &Sys, size_t ShardedStates,
     R.BoolDom.clear();
     return;
   }
-  R.BoolDom.defaultAnyToFalse();
+  for (uint8_t &D : R.BoolDom)
+    if (D == BAny)
+      D = BFalse;
+}
+
+/// An empty *initial* domain is a conflict even for a variable in no
+/// constraint — it never reaches a shard, so the sharded paths check
+/// the whole system up front.
+bool hasEmptyDomain(const ConstraintSystem &Sys) {
+  auto Empty = [](const std::vector<uint8_t> &D) {
+    return std::find(D.begin(), D.end(), 0) != D.end();
+  };
+  return Empty(Sys.StateDom) || Empty(Sys.BoolDom);
 }
 
 /// The production path. The input's emission-time union-find already
 /// partitioned variables and constraints into connected components, so
 /// contiguous shards are grouped and each group is simplified and
-/// solved on one workspace, then scattered into the packed result.
+/// solved on one workspace, then scattered into the result.
 SolveResult solveShards(const ConstraintSystem &Sys) {
   SolveResult R;
-
-  // An empty *initial* domain is a conflict even for a variable in no
-  // constraint — it never reaches a shard, so check globally up front.
-  if (Sys.StateDom.hasZeroEntry() || Sys.BoolDom.hasZeroEntry())
+  if (hasEmptyDomain(Sys))
     return R;
 
   // Group contiguous shards into work units of roughly GroupTarget
@@ -453,9 +462,9 @@ SolveResult solveShards(const ConstraintSystem &Sys) {
     uint32_t LS = 0, LB = 0;
     for (uint32_t K = GroupStart[G]; K != GroupStart[G + 1]; ++K) {
       for (uint32_t S : Sys.shardStates(K))
-        R.StateDom.set(S, W.SD[W.StateRep[LS++]]);
+        R.StateDom[S] = W.SD[W.StateRep[LS++]];
       for (uint32_t B : Sys.shardBools(K))
-        R.BoolDom.set(B, W.BD[LB++]);
+        R.BoolDom[B] = W.BD[LB++];
     }
   }
   finishSharded(Sys, Sharded, Sat, R);
@@ -485,9 +494,9 @@ void buildShardKey(const ConstraintSystem &Sys, uint32_t K,
     P += N;
   }
   for (uint32_t S : States)
-    *P++ = static_cast<char>(Sys.StateDom.get(S));
+    *P++ = static_cast<char>(Sys.StateDom[S]);
   for (uint32_t B : Bools)
-    *P++ = static_cast<char>(Sys.BoolDom.get(B));
+    *P++ = static_cast<char>(Sys.BoolDom[B]);
   Key.resize(static_cast<size_t>(P - Key.data()));
 }
 
@@ -501,6 +510,42 @@ SolveResult solver::solve(const ConstraintSystem &Sys,
   return R;
 }
 
+std::string solver::checkSolution(const ConstraintSystem &Sys,
+                                  const SolveResult &R) {
+  if (!R.Sat)
+    return "the result is not satisfiable";
+  if (R.StateDom.size() != Sys.numStateVars() ||
+      R.BoolDom.size() != Sys.numBoolVars())
+    return "the result's domain counts differ from the system's";
+  for (BoolVarId B = 0; B != R.BoolDom.size(); ++B) {
+    const uint8_t D = R.BoolDom[B];
+    if ((D != BFalse && D != BTrue) || (D & ~Sys.BoolDom[B]))
+      return "boolean c" + std::to_string(B) +
+             " is not a singleton inside its initial domain";
+  }
+  for (StateVarId S = 0; S != R.StateDom.size(); ++S) {
+    const uint8_t D = R.StateDom[S];
+    if (D == 0 || (D & ~Sys.StateDom[S]))
+      return "state s" + std::to_string(S) +
+             " is empty or outside its initial domain";
+  }
+  for (size_t CI = 0; CI != Sys.Cons.size(); ++CI) {
+    const Constraint &C = Sys.Cons[CI];
+    const uint8_t D1 = R.StateDom[C.S1], D2 = R.StateDom[C.S2];
+    if (C.K == Constraint::Kind::Eq || R.BoolDom[C.B] == BFalse) {
+      if (D1 != D2)
+        return "constraint " + std::to_string(CI) +
+               " equates states with different domains";
+      continue;
+    }
+    const bool Alloc = C.K == Constraint::Kind::AllocTriple;
+    if ((D1 & ~(Alloc ? StU : StA)) || (D2 & ~(Alloc ? StA : StD)))
+      return "constraint " + std::to_string(CI) +
+             " fires outside its transition states";
+  }
+  return "";
+}
+
 SolveResult solver::solveCached(const ConstraintSystem &Sys,
                                 const SolveOptions &Options,
                                 ShardSolutionCache &Cache) {
@@ -510,9 +555,7 @@ SolveResult solver::solveCached(const ConstraintSystem &Sys,
   Stopwatch Watch;
   SolveResult R;
 
-  // Same up-front global check as solve(): an empty initial domain is a
-  // conflict even for a variable in no constraint.
-  if (Sys.StateDom.hasZeroEntry() || Sys.BoolDom.hasZeroEntry()) {
+  if (hasEmptyDomain(Sys)) {
     R.Seconds = Watch.seconds();
     return R;
   }
@@ -559,9 +602,9 @@ SolveResult solver::solveCached(const ConstraintSystem &Sys,
       break;
     }
     for (size_t L = 0; L != States.size(); ++L)
-      R.StateDom.set(States.begin()[L], E.StateDom[L]);
+      R.StateDom[States.begin()[L]] = E.StateDom[L];
     for (size_t L = 0; L != Bools.size(); ++L)
-      R.BoolDom.set(Bools.begin()[L], E.BoolDom[L]);
+      R.BoolDom[Bools.begin()[L]] = E.BoolDom[L];
   }
 
   finishSharded(Sys, Sharded, Sat, R);

@@ -54,11 +54,10 @@ struct SolveOptions {
 struct SolveResult {
   bool Sat = false;
   /// Final domains (singletons for booleans when Sat), indexed by the
-  /// *original* variable ids regardless of preprocessing. Bit-packed
-  /// like the input system's domains (read with get()/operator[]); the
-  /// solver works on byte lanes and packs its result on the way out.
-  support::StateDomains StateDom;
-  support::BoolDomains BoolDom;
+  /// *original* variable ids regardless of preprocessing: one byte per
+  /// variable, like the input system's domains.
+  std::vector<uint8_t> StateDom;
+  std::vector<uint8_t> BoolDom;
   /// Statistics.
   uint64_t Propagations = 0;
   uint64_t Choices = 0;
@@ -69,13 +68,26 @@ struct SolveResult {
   double Seconds = 0;
 
   bool boolValue(constraints::BoolVarId B) const {
-    return BoolDom.get(B) == constraints::BTrue;
+    return BoolDom[B] == constraints::BTrue;
   }
 };
 
 /// Solves \p Sys. The input system is not modified.
 SolveResult solve(const constraints::ConstraintSystem &Sys,
                   const SolveOptions &Options = SolveOptions());
+
+/// Certifies a satisfiable result against the original, unsimplified
+/// \p Sys in one linear pass, trusting nothing the solver computed
+/// beyond \p R's domains. Requires every boolean to be a singleton
+/// inside its initial domain, every state domain to be non-empty and
+/// inside its initial domain, the endpoints of each `Eq` or false
+/// triple to have equal domains, and each true triple's endpoints to
+/// lie inside its transition states (U then A for allocation, A then D
+/// for deallocation). With the booleans fixed, that certifies a
+/// concrete assignment: give every state variable, say, the least state
+/// of its domain. Returns the first violation, or "" when certified.
+std::string checkSolution(const constraints::ConstraintSystem &Sys,
+                          const SolveResult &R);
 
 /// Content-keyed cache of per-shard solutions, owned by long-lived
 /// callers (one per open document in the analysis server). A shard's key

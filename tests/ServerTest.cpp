@@ -92,12 +92,11 @@ json::Value openDoc(driver::Session &S, const std::string &Source,
   return R;
 }
 
-template <unsigned Bits>
-std::string domainString(const support::PackedArray<Bits> &Dom) {
+std::string domainString(const std::vector<uint8_t> &Dom) {
   std::string O;
   O.reserve(Dom.size());
-  for (size_t I = 0; I != Dom.size(); ++I)
-    O.push_back(static_cast<char>('0' + (Dom.get(I) & 7)));
+  for (uint8_t D : Dom)
+    O.push_back(static_cast<char>('0' + (D & 7)));
   return O;
 }
 

@@ -327,9 +327,9 @@ ConstraintSystem materializeShard(const ConstraintSystem &Sys, uint32_t K) {
   ConstraintSystem Out;
   std::map<uint32_t, uint32_t> LocalState, LocalBool;
   for (uint32_t S : Sys.shardStates(K))
-    LocalState[S] = Out.newState(Sys.StateDom.get(S));
+    LocalState[S] = Out.newState(Sys.StateDom[S]);
   for (uint32_t B : Sys.shardBools(K))
-    LocalBool[B] = Out.newBool(Sys.BoolDom.get(B));
+    LocalBool[B] = Out.newBool(Sys.BoolDom[B]);
   for (uint32_t CI : Sys.shardConstraints(K)) {
     const Constraint &C = Sys.Cons[CI];
     switch (C.K) {

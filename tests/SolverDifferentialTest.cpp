@@ -8,6 +8,8 @@
 // hand-built system with ids past 2^21 checks that residual
 // deduplication stays exact, and hand-built systems with restricted
 // initial boolean domains check that the production paths honour them.
+// Every satisfiable raw and production result is also certified against
+// the original system by solver::checkSolution.
 
 #include "ast/ASTContext.h"
 #include "closure/ClosureAnalysis.h"
@@ -50,6 +52,12 @@ void expectSolvesAgree(const ConstraintSystem &Sys, const char *Label) {
   ASSERT_EQ(Raw.Sat, Simplified.Sat) << Label;
   ASSERT_EQ(Raw.Sat, Cold.Sat) << Label;
   ASSERT_EQ(Raw.Sat, Warm.Sat) << Label;
+  // Certify the oracle and the production path against the original
+  // system, independently of their agreement.
+  if (Raw.Sat) {
+    EXPECT_EQ(checkSolution(Sys, Raw), "") << Label;
+    EXPECT_EQ(checkSolution(Sys, Simplified), "") << Label;
+  }
   EXPECT_EQ(Raw.StateDom, Simplified.StateDom) << Label;
   EXPECT_EQ(Raw.BoolDom, Simplified.BoolDom) << Label;
   EXPECT_EQ(Simplified.StateDom, Cold.StateDom) << Label;
@@ -184,8 +192,8 @@ TEST(SolverDifferential, InitialBooleanDomainsMatchRaw) {
     Sys.addAllocTriple(S1, B, S2);
     SolveResult Raw = solve(Sys, RawOpts);
     ASSERT_TRUE(Raw.Sat);
-    EXPECT_EQ(Raw.StateDom.get(S1), StU);
-    EXPECT_EQ(Raw.StateDom.get(S2), StA);
+    EXPECT_EQ(Raw.StateDom[S1], StU);
+    EXPECT_EQ(Raw.StateDom[S2], StA);
     EXPECT_TRUE(Raw.boolValue(B));
     expectSolvesAgree(Sys, "boolean fixed to true");
   }

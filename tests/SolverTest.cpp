@@ -318,6 +318,50 @@ TEST(Solver, ShardedHandlesUnconstrainedVariables) {
   EXPECT_TRUE(R.boolValue(B));
 }
 
+TEST(Solver, CheckSolutionRejectsCorruptedResults) {
+  // U --b1--> s1 --b2--> A = s3, then a potential free (s2, b3, s4).
+  ConstraintSystem Sys;
+  StateVarId S0 = Sys.newState(StU);
+  StateVarId S1 = Sys.newState();
+  StateVarId S2 = Sys.newState(StA);
+  StateVarId S3 = Sys.newState();
+  StateVarId S4 = Sys.newState();
+  BoolVarId B1 = Sys.newBool();
+  BoolVarId B2 = Sys.newBool();
+  BoolVarId B3 = Sys.newBool();
+  Sys.addAllocTriple(S0, B1, S1);
+  Sys.addAllocTriple(S1, B2, S2);
+  Sys.addEq(S2, S3);
+  Sys.addDeallocTriple(S2, B3, S4);
+  const SolveResult R = solve(Sys);
+  ASSERT_TRUE(R.Sat);
+  ASSERT_TRUE(R.boolValue(B2));
+  EXPECT_EQ(checkSolution(Sys, R), "");
+  SolveOptions RawOpts;
+  RawOpts.Simplify = false;
+  EXPECT_EQ(checkSolution(Sys, solve(Sys, RawOpts)), "");
+
+  auto Rejects = [&](auto Corrupt) {
+    SolveResult Bad = R;
+    Corrupt(Bad);
+    return !checkSolution(Sys, Bad).empty();
+  };
+  // Flipped booleans: a dropped allocation leaves U = A across a false
+  // triple; a spurious one fires from U into U.
+  EXPECT_TRUE(Rejects([&](SolveResult &X) { X.BoolDom[B2] = BFalse; }));
+  EXPECT_TRUE(Rejects([&](SolveResult &X) { X.BoolDom[B1] = BTrue; }));
+  // An undecided boolean.
+  EXPECT_TRUE(Rejects([&](SolveResult &X) { X.BoolDom[B3] = BAny; }));
+  // Widened state domains: past the initial domain, and past an
+  // equality partner.
+  EXPECT_TRUE(Rejects([&](SolveResult &X) { X.StateDom[S0] = StU | StA; }));
+  EXPECT_TRUE(Rejects([&](SolveResult &X) { X.StateDom[S3] = StU | StA; }));
+  // Empty domains, missing variables, and unsatisfiable results.
+  EXPECT_TRUE(Rejects([&](SolveResult &X) { X.StateDom[S4] = 0; }));
+  EXPECT_TRUE(Rejects([&](SolveResult &X) { X.BoolDom.pop_back(); }));
+  EXPECT_TRUE(Rejects([&](SolveResult &X) { X.Sat = false; }));
+}
+
 TEST(Solver, ZeroedDomainOutsideShardsUnsat) {
   // A domain emptied by restrictState on a variable no constraint
   // mentions: the sharded path's global pre-scan must catch it even

@@ -1,11 +1,10 @@
-// Unit tests for the support module: arena, arena pool, packed domains,
-// interner, diagnostics, JSON number ranges.
+// Unit tests for the support module: arena, arena pool, interner,
+// diagnostics, JSON number ranges.
 
 #include "support/Arena.h"
 #include "support/ArenaPool.h"
 #include "support/Diagnostics.h"
 #include "support/Json.h"
-#include "support/PackedDomains.h"
 #include "support/SourceLoc.h"
 #include "support/FlatSet.h"
 #include "support/SetInterner.h"
@@ -254,118 +253,6 @@ TEST(StringInterner, SharedArenaStoresBytes) {
   EXPECT_EQ(SI.text(Foo), "foo");
   EXPECT_EQ(A.bytesAllocated(), Before + 3)
       << "interned bytes land in the shared arena, deduplicated";
-}
-
-TEST(PackedDomains, ThreeBitRoundtripAcrossWordBoundaries) {
-  // 21 three-bit lanes fit a 64-bit word; exercise sizes straddling the
-  // 21- and 42-lane boundaries.
-  for (size_t N : {1u, 20u, 21u, 22u, 41u, 42u, 43u, 100u}) {
-    support::StateDomains D(N, 7);
-    for (size_t I = 0; I != N; ++I)
-      D.set(I, static_cast<uint8_t>(1 + I % 7)); // keep non-zero
-    for (size_t I = 0; I != N; ++I) {
-      EXPECT_EQ(D.get(I), 1 + I % 7) << "N=" << N << " I=" << I;
-      EXPECT_EQ(D[I], D.get(I));
-    }
-    EXPECT_EQ(D.size(), N);
-  }
-}
-
-TEST(PackedDomains, TwoBitRoundtripAcrossWordBoundaries) {
-  for (size_t N : {1u, 31u, 32u, 33u, 64u, 65u}) {
-    support::BoolDomains B(N, 3);
-    for (size_t I = 0; I != N; ++I)
-      B.set(I, static_cast<uint8_t>(1 + I % 3));
-    for (size_t I = 0; I != N; ++I)
-      EXPECT_EQ(B.get(I), 1 + I % 3) << "N=" << N << " I=" << I;
-  }
-}
-
-TEST(PackedDomains, SetDoesNotDisturbNeighbors) {
-  support::StateDomains D(45, 7);
-  D.set(21, 2); // first lane of the second word
-  D.set(20, 5); // last lane of the first word
-  EXPECT_EQ(D.get(19), 7);
-  EXPECT_EQ(D.get(20), 5);
-  EXPECT_EQ(D.get(21), 2);
-  EXPECT_EQ(D.get(22), 7);
-}
-
-TEST(PackedDomains, PushBackAndUnpackPackRoundtrip) {
-  support::StateDomains D;
-  std::vector<uint8_t> Expected;
-  for (size_t I = 0; I != 50; ++I) {
-    uint8_t V = static_cast<uint8_t>(1 + (I * 3) % 7);
-    D.push_back(V);
-    Expected.push_back(V);
-  }
-  EXPECT_EQ(D.unpack(), Expected);
-  EXPECT_EQ(support::StateDomains::pack(Expected), D);
-}
-
-TEST(PackedDomains, EqualityIsValueEquality) {
-  support::BoolDomains A(40, 3), B(40, 3);
-  EXPECT_EQ(A, B);
-  B.set(39, 1);
-  EXPECT_NE(A, B);
-  B.set(39, 3);
-  EXPECT_EQ(A, B);
-  support::BoolDomains Shorter(39, 3);
-  EXPECT_NE(A, Shorter);
-}
-
-TEST(PackedDomains, HasZeroEntryScansEveryLane) {
-  for (size_t N : {1u, 21u, 22u, 64u}) {
-    support::StateDomains D(N, 7);
-    EXPECT_FALSE(D.hasZeroEntry()) << "N=" << N;
-    for (size_t I : {size_t(0), N / 2, N - 1}) {
-      support::StateDomains E = D;
-      E.set(I, 0);
-      EXPECT_TRUE(E.hasZeroEntry()) << "N=" << N << " I=" << I;
-    }
-  }
-  support::StateDomains Empty;
-  EXPECT_FALSE(Empty.hasZeroEntry());
-}
-
-TEST(PackedDomains, DefaultAnyToFalseCollapsesOnlyAny) {
-  // BAny (0b11) lanes collapse to BFalse (0b01); decided lanes keep
-  // their value. Spans a word boundary (32 two-bit lanes per word).
-  support::BoolDomains B(70, 3);
-  B.set(0, 2);  // BTrue
-  B.set(31, 1); // BFalse, last lane of word 0
-  B.set(32, 2); // BTrue, first lane of word 1
-  B.defaultAnyToFalse();
-  EXPECT_EQ(B.get(0), 2);
-  EXPECT_EQ(B.get(31), 1);
-  EXPECT_EQ(B.get(32), 2);
-  for (size_t I : {size_t(1), size_t(30), size_t(33), size_t(69)})
-    EXPECT_EQ(B.get(I), 1) << "I=" << I;
-}
-
-TEST(PackedDomains, AssignReusesStorage) {
-  support::BoolDomains B(10, 3);
-  B.assign(40, 2);
-  EXPECT_EQ(B.size(), 40u);
-  for (size_t I = 0; I != 40; ++I)
-    EXPECT_EQ(B.get(I), 2);
-  B.clear();
-  EXPECT_EQ(B.size(), 0u);
-  EXPECT_TRUE(B.empty());
-}
-
-TEST(PackedDomains, SingleBitFlags) {
-  support::PackedArray<1> F(130, 0);
-  F.set(0, 1);
-  F.set(63, 1);
-  F.set(64, 1);
-  F.set(129, 1);
-  EXPECT_EQ(F.get(0), 1);
-  EXPECT_EQ(F.get(1), 0);
-  EXPECT_EQ(F.get(63), 1);
-  EXPECT_EQ(F.get(64), 1);
-  EXPECT_EQ(F.get(128), 0);
-  EXPECT_EQ(F.get(129), 1);
 }
 
 TEST(Diagnostics, CollectsAndCounts) {

@@ -544,159 +544,6 @@ void ClosureAnalysis::canonicalize() {
   EscapePool = remapSet(EscapePool, Perm, Memo);
 }
 
-bool ClosureAnalysis::runIncremental(const ClosureAnalysis &Prev,
-                                     const IncrementalSeed &Seed) {
-  Stats = ClosureStats();
-  Stats.UsedWorklist = true;
-  Stats.Incremental = true;
-
-  // The seed rewrites the private tables wholesale; it only makes sense
-  // on a freshly constructed analysis, in worklist mode, from a
-  // converged previous revision. A widening-bound mismatch would seed
-  // environments widened under a different merge relation than the
-  // re-run applies; the caller falls back to a fresh run instead.
-  if (!Options.UseWorklist || !Prev.converged() || !Ctxs.empty() ||
-      !Closures.empty() || Options.Widening != Prev.Options.Widening)
-    return false;
-  if (Seed.NodeMap.size() != Prev.Prog.numNodes() ||
-      Seed.VarMap.size() != Prev.Prog.numVars() ||
-      Seed.RegionVarMap.size() != Prev.Prog.Types.numRegionVars() ||
-      Seed.ParentNode >= Prog.numNodes())
-    return false;
-
-  constexpr uint32_t NoMap = IncrementalSeed::NoMap;
-
-  // 1. Environments. Keys are remapped and re-sorted; colors carry over
-  // unchanged (extendFresh colors depend only on environment content,
-  // which the translation preserves). Environments mentioning a region
-  // bound only inside the replaced subtree are dead — they can only
-  // belong to subtree contexts, which are dropped below.
-  std::vector<RegEnvId> EnvMap(Prev.Envs.size(), NoMap);
-  for (RegEnvId E = 0; E != Prev.Envs.size(); ++E) {
-    const RegEnvMap &Old = Prev.Envs.get(E);
-    RegEnvMap New;
-    New.reserve(Old.size());
-    bool Dead = false;
-    for (const auto &[R, C] : Old) {
-      if (R >= Seed.RegionVarMap.size() || Seed.RegionVarMap[R] == NoMap) {
-        Dead = true;
-        break;
-      }
-      New.push_back({Seed.RegionVarMap[R], C});
-    }
-    if (Dead)
-      continue;
-    std::sort(New.begin(), New.end());
-    EnvMap[E] = Envs.intern(std::move(New));
-  }
-  // The old root environment must translate to the constructor-interned
-  // root of this revision, or the global region map does not line up.
-  if (EnvMap[Prev.RootEnv] != RootEnv)
-    return false;
-
-  // 2. Closures, re-interned in old id order. The maps are injective and
-  // closure-carrying nodes (Lambda/Letrec) never sit inside an arrow-free
-  // subtree, so every translation is fresh and ids carry over 1:1.
-  for (AbsClosureId I = 0; I != Prev.Closures.size(); ++I) {
-    const AbsClosure &C = Prev.Closures[I];
-    uint32_t OldFun = C.Fun->id();
-    if (OldFun >= Seed.NodeMap.size() || Seed.NodeMap[OldFun] == NoMap)
-      return false;
-    if (C.Env >= EnvMap.size() || EnvMap[C.Env] == NoMap)
-      return false;
-    uint32_t NewFun = Seed.NodeMap[OldFun];
-    if (NewFun >= Prog.numNodes())
-      return false;
-    if (internClosure(Prog.node(NewFun), EnvMap[C.Env]) != I)
-      return false;
-  }
-
-  // 3. Value sets. Closure ids are identity, so contents are unchanged;
-  // re-interning keeps the map anyway in case id assignment diverges.
-  std::vector<SetId> SetMap(Prev.ValueSets.size(), EmptySet);
-  for (SetId S = 0; S != Prev.ValueSets.size(); ++S)
-    SetMap[S] = ValueSets.intern(Prev.ValueSets.get(S));
-
-  // 4. Contexts: allocate translated ids first (dependency edges may
-  // point forward), then translate the edge sets. Contexts of subtree
-  // nodes are dropped — the new subtree's contexts are registered fresh
-  // when the parent is re-processed. A live outside context with a dead
-  // environment would mean the translation contract is broken; bail.
-  std::vector<uint32_t> CtxMap(Prev.Ctxs.size(), NoCtx);
-  for (uint32_t C = 0; C != Prev.Ctxs.size(); ++C) {
-    const CtxInfo &O = Prev.Ctxs[C];
-    uint32_t OldN = O.N->id();
-    if (OldN >= Seed.NodeMap.size())
-      return false;
-    uint32_t NewN = Seed.NodeMap[OldN];
-    if (NewN == NoMap)
-      continue;
-    if (NewN >= Prog.numNodes() || EnvMap[O.Env] == NoMap)
-      return false;
-    RegEnvId Env = EnvMap[O.Env];
-    auto [Pos, Inserted] = NodeEnvs[NewN].insertPos(Env);
-    if (!Inserted)
-      return false; // two old contexts collapsed: maps not injective
-    uint32_t Id = static_cast<uint32_t>(Ctxs.size());
-    std::vector<uint32_t> &Ids = NodeCtxIds[NewN];
-    Ids.insert(Ids.begin() + static_cast<ptrdiff_t>(Pos), Id);
-    Ctxs.push_back({Prog.node(NewN), Env, SetMap[O.Val]});
-    CtxDeps.emplace_back();
-    InQueue.push_back(0);
-    CtxMap[C] = Id;
-  }
-  Stats.SeededContexts = Ctxs.size();
-
-  auto MapCtxSet = [&](const FlatSet<uint32_t> &S) {
-    std::vector<uint32_t> Out;
-    Out.reserve(S.size());
-    for (uint32_t D : S)
-      if (CtxMap[D] != NoCtx)
-        Out.push_back(CtxMap[D]);
-    std::sort(Out.begin(), Out.end());
-    return FlatSet<uint32_t>::fromSorted(std::move(Out));
-  };
-  for (uint32_t C = 0; C != Prev.Ctxs.size(); ++C)
-    if (CtxMap[C] != NoCtx)
-      CtxDeps[CtxMap[C]] = MapCtxSet(Prev.CtxDeps[C]);
-
-  // 5. Variables and the escape pool. Variables bound inside the old
-  // subtree are dropped; variables bound inside the new subtree keep
-  // their empty constructor state.
-  for (VarId V = 0; V != Prev.VarSets.size(); ++V) {
-    uint32_t NewV = Seed.VarMap[V];
-    if (NewV == NoMap)
-      continue;
-    if (NewV >= VarSets.size())
-      return false;
-    VarSets[NewV] = SetMap[Prev.VarSets[V]];
-    VarDeps[NewV] = MapCtxSet(Prev.VarDeps[V]);
-  }
-  EscapePool = SetMap[Prev.EscapePool];
-  PoolDeps = MapCtxSet(Prev.PoolDeps);
-
-  // 6. Frontier: every context of the subtree's parent. Re-processing
-  // the parent registers (and thereby enqueues) the new subtree's root
-  // context per environment, and the cascade covers the subtree. An
-  // empty frontier is correct, not an error: the subtree sits in dead
-  // code a from-scratch run would never reach either.
-  for (uint32_t C : NodeCtxIds[Seed.ParentNode])
-    enqueue(C);
-
-  bool Ok = runWorklist();
-  Stats.DirtiedContexts = Stats.ProcessedContexts;
-  if (Ok)
-    canonicalize();
-  Stats.Converged = Ok;
-  Stats.NumContexts = Ctxs.size();
-  Stats.NumClosures = Closures.size();
-  Stats.NumEnvs = Envs.size();
-  Stats.InternedSets = ValueSets.size();
-  if (Ok)
-    recordWideningStats();
-  return Ok;
-}
-
 bool ClosureAnalysis::run() {
   Stats = ClosureStats();
   Stats.UsedWorklist = Options.UseWorklist;

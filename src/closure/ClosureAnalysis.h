@@ -74,25 +74,10 @@ struct ClosureOptions {
   /// `aflc --closure-widen[=K]`.
   unsigned Widening = 0;
 
-  /// The worklist's stabilization cap (runWorklist, also on the
-  /// incremental path): MaxSteps when set, otherwise
+  /// The worklist's stabilization cap: MaxSteps when set, otherwise
   /// MaxPasses * max(NumNodes, 1), saturating instead of overflowing.
   /// The restart fixpoint is capped by MaxPasses alone.
   size_t stepCap(size_t NumNodes) const;
-};
-
-/// Translation maps from a previous program revision into the current
-/// one, produced by the structural differ (driver/Incremental.h) when an
-/// edit replaced exactly one arrow-free subtree. Each map is indexed by
-/// the *old* id; NoMap marks ids that existed only inside the replaced
-/// subtree. ParentNode is the *new* id of the replaced subtree's parent —
-/// the worklist restart frontier.
-struct IncrementalSeed {
-  static constexpr uint32_t NoMap = ~0u;
-  std::vector<uint32_t> NodeMap;
-  std::vector<uint32_t> VarMap;
-  std::vector<uint32_t> RegionVarMap;
-  regions::RNodeId ParentNode = 0;
 };
 
 /// Work counters for the fixpoint, reported through AflStats →
@@ -100,16 +85,6 @@ struct IncrementalSeed {
 struct ClosureStats {
   bool Converged = false;
   bool UsedWorklist = true;
-  /// True when the tables were seeded from a previous revision
-  /// (runIncremental) instead of computed from scratch.
-  bool Incremental = false;
-  /// Incremental mode: contexts translated from the previous revision.
-  size_t SeededContexts = 0;
-  /// Incremental mode: contexts (re-)evaluated after seeding — the edit's
-  /// invalidation frontier plus everything it reached. A from-scratch run
-  /// evaluates every context at least once; a small edit dirties far
-  /// fewer (asserted by tests/ServerTest.cpp).
-  size_t DirtiedContexts = 0;
   /// Restart mode: stabilization passes. Worklist mode: 1 on convergence
   /// (a single change-driven propagation).
   unsigned Passes = 0;
@@ -147,25 +122,6 @@ public:
   /// stabilization cap was hit (error() explains, results must not be
   /// used — they are an unsound snapshot).
   bool run();
-
-  /// Incremental fixpoint for the analysis server: seeds this (freshly
-  /// constructed, never-run) analysis with \p Prev's converged tables
-  /// translated through \p Seed's id maps, then re-runs the sequential
-  /// worklist with only the edited subtree's parent contexts enqueued.
-  /// Sound only under the differ's Subtree contract (both subtrees
-  /// arrow-free, 1:1 maps outside — see driver/Incremental.h): the
-  /// replaced subtree then contributes no abstract closures to any
-  /// outside table, so the seeded outside state is already the fixpoint
-  /// and only the new subtree's contexts need evaluation. After
-  /// canonicalization the tables are bit-identical to a from-scratch
-  /// run() on the new program (tests/ServerTest.cpp proves this
-  /// differentially).
-  ///
-  /// Returns false when the seed cannot be applied (restart mode, \p Prev
-  /// not converged, or a translation surprise); the tables are then in an
-  /// unspecified state and the caller must fall back to run() on a fresh
-  /// instance.
-  bool runIncremental(const ClosureAnalysis &Prev, const IncrementalSeed &Seed);
 
   bool converged() const { return Stats.Converged; }
   /// Non-empty iff run() returned false.
@@ -215,8 +171,8 @@ public:
 
   /// True iff the widening recolored \p C's environment. Recomputed from
   /// (function, environment, bound) — widened-ness is content, not
-  /// per-closure state, so it survives canonicalization and incremental
-  /// seeding for free. Always false when Widening == 0.
+  /// per-closure state, so it survives canonicalization for free. Always
+  /// false when Widening == 0.
   bool isWidened(const AbsClosure &C) const;
   /// The recolored (invisible-class) region variables of \p C's
   /// environment, ascending; empty when the widening did not fire.

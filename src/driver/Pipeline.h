@@ -128,7 +128,7 @@ struct PipelineResult {
 /// The front half of the pipeline: parse → ML type inference → T-T region
 /// inference. Produced by runFrontEnd for callers that drive the analysis
 /// stages themselves (the `aflc --serve` analysis server re-runs the front
-/// end per edit, then seeds the back end incrementally).
+/// end per edit, then reuses or re-runs the back end).
 struct FrontEnd {
   std::unique_ptr<ast::ASTContext> Ctx;
   const ast::Expr *Ast = nullptr;

@@ -1,8 +1,9 @@
 #include "driver/Session.h"
 
+#include "closure/ClosureAnalysis.h"
 #include "completion/AflCompletion.h"
 #include "completion/Conservative.h"
-#include "driver/Incremental.h"
+#include "constraints/ConstraintGen.h"
 #include "interp/Interp.h"
 #include "support/Metrics.h"
 
@@ -63,63 +64,177 @@ std::string domainString(const std::vector<uint8_t> &Dom) {
   return O;
 }
 
+using regions::cast;
+using regions::RExpr;
+
+/// Child edges of a region node, in a fixed order.
+void appendChildren(const RExpr *N, std::vector<const RExpr *> &Out) {
+  switch (N->kind()) {
+  case RExpr::Kind::Lambda:
+    Out.push_back(cast<regions::RLambdaExpr>(N)->body());
+    break;
+  case RExpr::Kind::App: {
+    const auto *A = cast<regions::RAppExpr>(N);
+    Out.push_back(A->fn());
+    Out.push_back(A->arg());
+    break;
+  }
+  case RExpr::Kind::Let: {
+    const auto *L = cast<regions::RLetExpr>(N);
+    Out.push_back(L->init());
+    Out.push_back(L->body());
+    break;
+  }
+  case RExpr::Kind::Letrec: {
+    const auto *L = cast<regions::RLetrecExpr>(N);
+    Out.push_back(L->fnBody());
+    Out.push_back(L->body());
+    break;
+  }
+  case RExpr::Kind::If: {
+    const auto *I = cast<regions::RIfExpr>(N);
+    Out.push_back(I->cond());
+    Out.push_back(I->thenExpr());
+    Out.push_back(I->elseExpr());
+    break;
+  }
+  case RExpr::Kind::Pair: {
+    const auto *P = cast<regions::RPairExpr>(N);
+    Out.push_back(P->first());
+    Out.push_back(P->second());
+    break;
+  }
+  case RExpr::Kind::Cons: {
+    const auto *C = cast<regions::RConsExpr>(N);
+    Out.push_back(C->head());
+    Out.push_back(C->tail());
+    break;
+  }
+  case RExpr::Kind::UnOp:
+    Out.push_back(cast<regions::RUnOpExpr>(N)->operand());
+    break;
+  case RExpr::Kind::BinOp: {
+    const auto *B = cast<regions::RBinOpExpr>(N);
+    Out.push_back(B->lhs());
+    Out.push_back(B->rhs());
+    break;
+  }
+  default: // Int, Bool, Unit, Var, RegApp, Nil: leaves.
+    break;
+  }
+}
+
+/// True iff two nodes agree on everything but an Int/Bool payload: kind,
+/// operator, id, type, region annotations, binders and variable uses.
+bool sameNode(const RExpr *O, const RExpr *N) {
+  if (O->kind() != N->kind() || O->id() != N->id() ||
+      O->type() != N->type() || O->writeRegion() != N->writeRegion() ||
+      O->readRegions() != N->readRegions() ||
+      O->boundRegions() != N->boundRegions() || O->effect() != N->effect() ||
+      O->overallEffect() != N->overallEffect())
+    return false;
+  switch (O->kind()) {
+  case RExpr::Kind::UnOp:
+    return cast<regions::RUnOpExpr>(O)->op() ==
+           cast<regions::RUnOpExpr>(N)->op();
+  case RExpr::Kind::BinOp:
+    return cast<regions::RBinOpExpr>(O)->op() ==
+           cast<regions::RBinOpExpr>(N)->op();
+  case RExpr::Kind::Var:
+    return cast<regions::RVarExpr>(O)->var() ==
+           cast<regions::RVarExpr>(N)->var();
+  case RExpr::Kind::Lambda: {
+    const auto *OL = cast<regions::RLambdaExpr>(O);
+    const auto *NL = cast<regions::RLambdaExpr>(N);
+    return OL->param() == NL->param() &&
+           OL->freeRegions() == NL->freeRegions();
+  }
+  case RExpr::Kind::Let:
+    return cast<regions::RLetExpr>(O)->var() ==
+           cast<regions::RLetExpr>(N)->var();
+  case RExpr::Kind::Letrec: {
+    const auto *OL = cast<regions::RLetrecExpr>(O);
+    const auto *NL = cast<regions::RLetrecExpr>(N);
+    return OL->fn() == NL->fn() && OL->param() == NL->param() &&
+           OL->formals() == NL->formals() &&
+           OL->freeRegions() == NL->freeRegions();
+  }
+  case RExpr::Kind::RegApp: {
+    const auto *OR = cast<regions::RRegAppExpr>(O);
+    const auto *NR = cast<regions::RRegAppExpr>(N);
+    return OR->fn() == NR->fn() && OR->actuals() == NR->actuals();
+  }
+  default: // Int and Bool payloads may differ; no analysis reads them.
+    return true;
+  }
+}
+
+/// True iff \p New equals \p Old up to Int/Bool literal payloads: one
+/// lockstep walk over node-for-node equal trees (sameNode) with equal
+/// node, variable and global-region tables. Every analysis artifact of
+/// \p Old is then exactly the analysis of \p New.
+bool sameUpToLiterals(const regions::RegionProgram &Old,
+                      const regions::RegionProgram &New) {
+  if (!Old.Root || !New.Root || Old.numNodes() != New.numNodes() ||
+      Old.numVars() != New.numVars() || Old.GlobalRegions != New.GlobalRegions)
+    return false;
+  std::vector<const RExpr *> OStack{Old.Root}, NStack{New.Root};
+  while (!OStack.empty()) {
+    const RExpr *O = OStack.back();
+    const RExpr *N = NStack.back();
+    OStack.pop_back();
+    NStack.pop_back();
+    if (!sameNode(O, N))
+      return false;
+    // Same kind, so the same number of children on both stacks.
+    appendChildren(O, OStack);
+    appendChildren(N, NStack);
+  }
+  return true;
+}
+
 } // namespace
 
-Session::AnalysisInfo Session::analyze(Document &Doc,
-                                       const closure::ClosureAnalysis *PrevCA,
-                                       const closure::IncrementalSeed *Seed,
-                                       StageTimings &T) {
+Session::AnalysisInfo Session::analyze(Document &Doc, StageTimings &T) {
   AnalysisInfo Info;
   T.AnalysisRan = true;
+  ++Stats.FullAnalyses;
   Stopwatch Watch;
 
-  auto CA = std::make_unique<closure::ClosureAnalysis>(*Doc.Prog);
-  bool Converged = false;
-  if (PrevCA && Seed && CA->runIncremental(*PrevCA, *Seed)) {
-    Info.Tier = "incremental";
-    Converged = true;
-    ++Stats.IncrementalAnalyses;
-  } else {
-    if (PrevCA && Seed) // rejected seed: restart on a fresh instance
-      CA = std::make_unique<closure::ClosureAnalysis>(*Doc.Prog);
-    Converged = CA->run();
-    ++Stats.FullAnalyses;
-  }
+  closure::ClosureAnalysis CA(*Doc.Prog);
+  bool Converged = CA.run();
   T.Closure = Watch.seconds();
-  Doc.CA = std::move(CA);
-
-  Info.Converged = Converged;
-  Info.ProcessedContexts = Doc.CA->stats().ProcessedContexts;
-  Info.DirtiedContexts = Doc.CA->stats().Incremental
-                             ? Doc.CA->stats().DirtiedContexts
-                             : Doc.CA->stats().ProcessedContexts;
-  Stats.DirtiedContexts += Info.DirtiedContexts;
+  Info.ProcessedContexts = CA.stats().ProcessedContexts;
+  Doc.Summary = AnalysisSummary();
+  Doc.Summary.Converged = Converged;
+  Doc.Summary.Contexts = CA.numContexts();
+  Doc.Summary.Closures = CA.numClosures();
 
   uint64_t Hits0 = Doc.Cache.Hits;
   uint64_t Misses0 = Doc.Cache.Misses;
   if (!Converged) {
     // Mirror aflCompletion: unconverged tables are unsound, fall back to
     // the conservative completion (should not happen in practice).
-    Doc.Gen.reset();
     Doc.Sol = solver::SolveResult();
     Doc.AflC = completion::conservativeCompletion(*Doc.Prog);
   } else {
     Watch.reset();
-    Doc.Gen = std::make_unique<constraints::GenResult>(
-        constraints::generateConstraints(*Doc.Prog, *Doc.CA));
+    constraints::GenResult Gen =
+        constraints::generateConstraints(*Doc.Prog, CA);
     T.ConstraintGen = Watch.seconds();
-    Doc.Sol = solver::solveCached(Doc.Gen->Sys, solver::SolveOptions(),
-                                  Doc.Cache);
+    Doc.Summary.StateVars = Gen.Sys.numStateVars();
+    Doc.Summary.BoolVars = Gen.Sys.numBoolVars();
+    Doc.Summary.Constraints = Gen.Sys.numConstraints();
+    Doc.Summary.Shards = Gen.Sys.numShards();
+    Doc.Sol = solver::solveCached(Gen.Sys, solver::SolveOptions(), Doc.Cache);
     T.Solve = Doc.Sol.Seconds;
     Watch.reset();
-    Doc.AflC = Doc.Sol.Sat
-                   ? completion::extractCompletion(*Doc.Gen, Doc.Sol)
-                   : completion::conservativeCompletion(*Doc.Prog);
+    Doc.AflC = Doc.Sol.Sat ? completion::extractCompletion(Gen, Doc.Sol)
+                           : completion::conservativeCompletion(*Doc.Prog);
     T.Extract = Watch.seconds();
   }
   Doc.Report = completion::reportCompletion(*Doc.Prog, Doc.AflC);
 
-  Info.Sat = Doc.Sol.Sat;
   Info.ShardsSolved = Doc.Cache.Misses - Misses0;
   Info.ShardsReused = Doc.Cache.Hits - Hits0;
   Stats.ShardsSolved += Info.ShardsSolved;
@@ -161,10 +276,8 @@ std::string Session::handleOpen(const json::Value &Params, StageTimings &T,
 
   Document Doc;
   Doc.Text = Source->asString();
-  Doc.Ctx = std::move(F.Ctx);
-  Doc.Ast = F.Ast;
   Doc.Prog = std::move(F.Prog);
-  AnalysisInfo Info = analyze(Doc, nullptr, nullptr, T);
+  AnalysisInfo Info = analyze(Doc, T);
 
   int64_t Id = NextDocId++;
   Document &Stored = Docs[Id];
@@ -180,20 +293,17 @@ std::string Session::handleOpen(const json::Value &Params, StageTimings &T,
 
 std::string Session::analysisBody(const Document &Doc,
                                   const AnalysisInfo &Info) const {
+  const AnalysisSummary &A = Doc.Summary;
   std::string O = "{";
-  O += "\"converged\":" + std::string(Info.Converged ? "true" : "false");
-  O += ",\"sat\":" + std::string(Info.Sat ? "true" : "false");
-  O += ",\"contexts\":" + std::to_string(Doc.CA ? Doc.CA->numContexts() : 0);
-  O += ",\"closures\":" + std::to_string(Doc.CA ? Doc.CA->numClosures() : 0);
-  O += ",\"state_vars\":" +
-       std::to_string(Doc.Gen ? Doc.Gen->Sys.numStateVars() : 0);
-  O += ",\"bool_vars\":" +
-       std::to_string(Doc.Gen ? Doc.Gen->Sys.numBoolVars() : 0);
-  O += ",\"constraints\":" +
-       std::to_string(Doc.Gen ? Doc.Gen->Sys.numConstraints() : 0);
-  O += ",\"shards\":" + std::to_string(Doc.Gen ? Doc.Gen->Sys.numShards() : 0);
+  O += "\"converged\":" + std::string(A.Converged ? "true" : "false");
+  O += ",\"sat\":" + std::string(Doc.Sol.Sat ? "true" : "false");
+  O += ",\"contexts\":" + std::to_string(A.Contexts);
+  O += ",\"closures\":" + std::to_string(A.Closures);
+  O += ",\"state_vars\":" + std::to_string(A.StateVars);
+  O += ",\"bool_vars\":" + std::to_string(A.BoolVars);
+  O += ",\"constraints\":" + std::to_string(A.Constraints);
+  O += ",\"shards\":" + std::to_string(A.Shards);
   O += ",\"processed_contexts\":" + std::to_string(Info.ProcessedContexts);
-  O += ",\"dirtied_contexts\":" + std::to_string(Info.DirtiedContexts);
   O += ",\"shards_solved\":" + std::to_string(Info.ShardsSolved);
   O += ",\"shards_reused\":" + std::to_string(Info.ShardsReused);
   O += "}";
@@ -241,32 +351,21 @@ std::string Session::handleEdit(const json::Value &Params, StageTimings &T,
     return "";
   }
 
-  ProgramDiff Diff = diffPrograms(*Doc->Prog, *F.Prog);
+  // A program equal to the open one up to literal payloads has the open
+  // one's analysis, and everything the document keeps of that analysis is
+  // keyed by ids the two share: adopt the new program (so `query run`
+  // sees the new literals) and keep the rest.
+  bool Reuse = sameUpToLiterals(*Doc->Prog, *F.Prog);
+  Doc->Text = std::move(NewText);
+  Doc->Prog = std::move(F.Prog);
   AnalysisInfo Info;
-  if (Diff.Kind == DiffKind::Identical || Diff.Kind == DiffKind::LiteralsOnly) {
-    // The previous region program is isomorphic modulo literal payloads,
-    // which nothing downstream of the front end reads: keep every cached
-    // artifact (including the old program as the analysis baseline) and
-    // only move the text forward.
-    Doc->Text = std::move(NewText);
+  if (Reuse) {
     Info.Tier = "reuse";
-    Info.Converged = Doc->CA && Doc->CA->converged();
-    Info.Sat = Doc->Sol.Sat;
-    Info.ShardsReused = Doc->Gen ? Doc->Gen->Sys.numShards() : 0;
+    Info.ShardsReused = Doc->Summary.Shards;
     ++Stats.ReusedAnalyses;
     Stats.ShardsReused += Info.ShardsReused;
   } else {
-    // Keep the previous program + closure tables alive while the seeded
-    // restart translates out of them, then drop them.
-    std::unique_ptr<regions::RegionProgram> OldProg = std::move(Doc->Prog);
-    std::unique_ptr<closure::ClosureAnalysis> OldCA = std::move(Doc->CA);
-    Doc->Text = std::move(NewText);
-    Doc->Ctx = std::move(F.Ctx);
-    Doc->Ast = F.Ast;
-    Doc->Prog = std::move(F.Prog);
-    bool TrySeed = Diff.Kind == DiffKind::Subtree && OldCA != nullptr;
-    Info = analyze(*Doc, TrySeed ? OldCA.get() : nullptr,
-                   TrySeed ? &Diff.Seed : nullptr, T);
+    Info = analyze(*Doc, T);
   }
 
   const json::Value *DocId = Params.find("doc");
@@ -298,9 +397,7 @@ std::string Session::handleQuery(const json::Value &Params,
     Reg.set("closes", Stats.Closes);
     Reg.set("open_docs", Docs.size());
     Reg.set("full_analyses", Stats.FullAnalyses);
-    Reg.set("incremental_analyses", Stats.IncrementalAnalyses);
     Reg.set("reused_analyses", Stats.ReusedAnalyses);
-    Reg.set("dirtied_contexts", Stats.DirtiedContexts);
     Reg.set("shards_solved", Stats.ShardsSolved);
     Reg.set("shards_reused", Stats.ShardsReused);
     if (Conn) {

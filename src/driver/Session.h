@@ -2,28 +2,27 @@
 ///
 /// \file
 /// One analysis-server session: the transport-agnostic core behind
-/// `aflc --serve`. A Session owns a document store (text + every analysis
-/// artifact, kept hot across edits) and answers one newline-delimited JSON
-/// request at a time via handleLine(). It knows nothing about where the
+/// `aflc --serve`. A Session owns a document store (text, region program
+/// and what requests read of the analysis, kept hot across edits) and
+/// answers one newline-delimited JSON request at a time via handleLine(). It knows nothing about where the
 /// request bytes came from — driver::Server pumps it from stdin/stdout or
 /// from a TCP connection (docs/SERVER.md documents every method, the
 /// invalidation model, and the failure semantics).
 ///
 /// Per edit the session re-runs the front end (parse → types → regions;
-/// always from scratch — it is the cheap half), then structurally diffs
-/// the new region program against the open one (driver/Incremental.h):
+/// always from scratch — it is the cheap half), then compares the new
+/// region program with the open one:
 ///
-///   * identical-modulo-literals edits reuse the previous analysis
-///     outright ("reuse" tier — zero contexts dirtied);
-///   * single arrow-free subtree replacements seed the closure analysis
-///     from the previous revision's tables and restart the worklist from
-///     the edited subtree's parent ("incremental" tier);
-///   * everything else re-analyzes from scratch ("full" tier).
+///   * a program equal to the open one up to Int/Bool literal payloads
+///     keeps the previous analysis outright and adopts the new program
+///     ("reuse" tier — no context processed, no shard solved);
+///   * everything else re-runs the closure analysis and constraint
+///     generation from scratch ("full" tier).
 ///
-/// All tiers share a per-document shard solution cache
+/// Both tiers share a per-document shard solution cache
 /// (solver::ShardSolutionCache), so constraint shards untouched by an
 /// edit replay their solved domains without re-entering the solver.
-/// Every tier produces byte-identical reports and solver domains to a
+/// Both tiers produce byte-identical reports, solver domains and runs to a
 /// from-scratch run — tests/ServerTest.cpp proves it differentially, and
 /// the socket transport's multi-client harness proves each connection's
 /// responses are byte-identical to a fresh single-session replay.
@@ -33,18 +32,16 @@
 /// sessions at once. The process-wide structures sessions share are each
 /// thread-safe on their own: ArenaPool::global() (mutexed checkout/
 /// return) and ThreadPool::global() (mutexed queue). Interners
-/// (StringInterner, SetInterner, StateVecInterner) are per-document —
-/// they live inside the session's ASTContext/analysis artifacts — so no
-/// cross-session locking is needed for them.
+/// (StringInterner, SetInterner, StateVecInterner) are per-request — they
+/// live inside the ASTContext and analysis objects one request builds —
+/// so no cross-session locking is needed for them.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef AFL_DRIVER_SESSION_H
 #define AFL_DRIVER_SESSION_H
 
-#include "closure/ClosureAnalysis.h"
 #include "completion/Report.h"
-#include "constraints/ConstraintGen.h"
 #include "driver/Pipeline.h"
 #include "solver/Solver.h"
 #include "support/Json.h"
@@ -180,17 +177,26 @@ public:
   bool shutdownRequested() const { return Shutdown; }
 
 private:
-  /// An open document: its text plus every analysis artifact, kept hot
-  /// across edits. The region program owns the IR the closure analysis
-  /// and constraint system point into, so artifacts are replaced as a
-  /// unit (or, on the reuse tier, kept as a unit while only Text moves).
+  /// What the "analysis" body reports of a document's last analysis.
+  struct AnalysisSummary {
+    bool Converged = false;
+    size_t Contexts = 0;
+    size_t Closures = 0;
+    size_t StateVars = 0;
+    size_t BoolVars = 0;
+    size_t Constraints = 0;
+    size_t Shards = 0;
+  };
+
+  /// An open document: its text, its region program, and what requests
+  /// read of its last analysis. The closure tables and the constraint
+  /// system are dropped once the completion is extracted. Everything kept
+  /// is keyed by node and region ids, so the reuse tier can adopt a new
+  /// program with the same ids and keep the rest.
   struct Document {
     std::string Text;
-    std::unique_ptr<ast::ASTContext> Ctx;
-    const ast::Expr *Ast = nullptr;
     std::unique_ptr<regions::RegionProgram> Prog;
-    std::unique_ptr<closure::ClosureAnalysis> CA;
-    std::unique_ptr<constraints::GenResult> Gen;
+    AnalysisSummary Summary;
     solver::SolveResult Sol;
     regions::Completion AflC;
     completion::CompletionReport Report;
@@ -207,26 +213,21 @@ private:
     bool AnalysisRan = false;
   };
 
-  /// Outcome summary of one analysis (or reuse) for the response body.
+  /// The per-request half of the response body: the tier taken and the
+  /// work it did.
   struct AnalysisInfo {
     const char *Tier = "full";
-    bool Converged = false;
-    bool Sat = false;
     size_t ProcessedContexts = 0;
-    size_t DirtiedContexts = 0;
     uint64_t ShardsSolved = 0;
     uint64_t ShardsReused = 0;
   };
 
   /// Runs closure analysis → constraint generation → cached solve →
-  /// extraction over Doc.Prog, replacing Doc's analysis artifacts. When
-  /// \p PrevCA and \p Seed are given, tries the seeded incremental
-  /// worklist first and falls back to a full run if the seed is rejected.
-  /// Mirrors completion::aflCompletion's fallbacks (conservative
-  /// completion on non-convergence or unsat) so results are byte-identical
-  /// to the one-shot pipeline.
-  AnalysisInfo analyze(Document &Doc, const closure::ClosureAnalysis *PrevCA,
-                       const closure::IncrementalSeed *Seed, StageTimings &T);
+  /// extraction over Doc.Prog from scratch, replacing Doc's summary,
+  /// domains, completion and report. Mirrors completion::aflCompletion's
+  /// fallbacks (conservative completion on non-convergence or unsat) so
+  /// results are byte-identical to the one-shot pipeline.
+  AnalysisInfo analyze(Document &Doc, StageTimings &T);
 
   /// Renders the shared "analysis" result object for open/edit responses.
   std::string analysisBody(const Document &Doc, const AnalysisInfo &Info) const;
@@ -255,9 +256,7 @@ private:
     uint64_t Queries = 0;
     uint64_t Closes = 0;
     uint64_t FullAnalyses = 0;
-    uint64_t IncrementalAnalyses = 0;
     uint64_t ReusedAnalyses = 0;
-    uint64_t DirtiedContexts = 0;
     uint64_t ShardsSolved = 0;
     uint64_t ShardsReused = 0;
   } Stats;

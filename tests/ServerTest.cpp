@@ -3,9 +3,9 @@
 /// \file
 /// Tests for the incremental analysis server (docs/SERVER.md): protocol
 /// round-trips, malformed-request robustness, and the differential
-/// harness — random edit scripts over the corpus asserting that every
-/// incremental tier produces byte-identical completion reports and
-/// solver domains to a from-scratch analysis of the same text.
+/// harness — random edit scripts over the corpus asserting that both
+/// tiers produce byte-identical completion reports, solver domains and
+/// runs to a from-scratch analysis of the same text.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +17,7 @@
 #include "driver/Pipeline.h"
 #include "driver/Server.h"
 #include "driver/Session.h"
+#include "interp/Interp.h"
 #include "programs/Corpus.h"
 #include "solver/Solver.h"
 #include "support/Json.h"
@@ -102,13 +103,15 @@ std::string domainString(const std::vector<uint8_t> &Dom) {
 
 /// The from-scratch oracle: front end + closure + constraints + plain
 /// (uncached) solve + extraction, mirroring completion::aflCompletion's
-/// fallbacks exactly as the server does.
+/// fallbacks exactly as the server does, plus the A-F-L run `query run`
+/// answers with.
 struct Oracle {
   bool FrontOk = false;
   std::string Report;
   bool Sat = false;
   std::string States;
   std::string Bools;
+  interp::RunResult Run;
 };
 
 Oracle oracleFor(const std::string &Source) {
@@ -134,6 +137,7 @@ Oracle oracleFor(const std::string &Source) {
   O.Sat = Sol.Sat;
   O.States = domainString(Sol.StateDom);
   O.Bools = domainString(Sol.BoolDom);
+  O.Run = interp::run(*F.Prog, AflC);
   return O;
 }
 
@@ -162,6 +166,31 @@ void expectMatchesOracle(driver::Session &S, int64_t DocId,
   EXPECT_EQ(Sat->asBool(), O.Sat) << Where;
   EXPECT_EQ(St->asString(), O.States) << Where;
   EXPECT_EQ(Bo->asString(), O.Bools) << Where;
+
+  json::Value Run = call(S, "{\"method\":\"query\",\"params\":{\"doc\":" +
+                                std::to_string(DocId) + ",\"what\":\"run\"}}");
+  ASSERT_TRUE(okOf(Run)) << Where;
+  const json::Value *Ok = dig(Run, {"result", "run", "ok"});
+  ASSERT_NE(Ok, nullptr) << Where;
+  ASSERT_EQ(Ok->asBool(), O.Run.Ok) << Where;
+  const json::Value *Out =
+      dig(Run, {"result", "run", O.Run.Ok ? "result" : "error"});
+  ASSERT_NE(Out, nullptr) << Where;
+  EXPECT_EQ(Out->asString(), O.Run.Ok ? O.Run.ResultText : O.Run.Error)
+      << Where;
+  // Table 2's five counters.
+  const std::pair<const char *, uint64_t> Counters[] = {
+      {"max_regions", O.Run.S.MaxRegions},
+      {"region_allocs", O.Run.S.TotalRegionAllocs},
+      {"value_allocs", O.Run.S.TotalValueAllocs},
+      {"max_values", O.Run.S.MaxValues},
+      {"final_values", O.Run.S.FinalValues},
+  };
+  for (const auto &[Key, Want] : Counters) {
+    const json::Value *Got = dig(Run, {"result", "run", "stats", Key});
+    ASSERT_NE(Got, nullptr) << Where << ": " << Key;
+    EXPECT_EQ(static_cast<uint64_t>(Got->asInt()), Want) << Where << ": " << Key;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -228,6 +257,24 @@ TEST(ServerProtocol, RunQueryExecutesDocument) {
                   std::to_string(Doc) + ",\"what\":\"bogus\"}}");
   EXPECT_FALSE(okOf(Unknown));
   EXPECT_NE(Unknown.find("error")->asString().find("run"), std::string::npos);
+}
+
+TEST(ServerProtocol, RunAfterLiteralEditRunsNewRevision) {
+  // A literal-only edit takes the reuse tier, but `query run` must execute
+  // the edited text, exactly as a fresh open of it would.
+  driver::Session S;
+  int64_t Doc = -1;
+  ASSERT_TRUE(okOf(openDoc(S, "1 + 2", &Doc)));
+  json::Value E = call(S, "{\"method\":\"edit\",\"params\":{\"doc\":" +
+                              std::to_string(Doc) +
+                              ",\"start\":4,\"length\":1,\"text\":\"5\"}}");
+  ASSERT_TRUE(okOf(E));
+  EXPECT_EQ(dig(E, {"result", "tier"})->asString(), "reuse");
+  json::Value Q = call(S, "{\"method\":\"query\",\"params\":{\"doc\":" +
+                              std::to_string(Doc) + ",\"what\":\"run\"}}");
+  ASSERT_TRUE(okOf(Q));
+  EXPECT_EQ(dig(Q, {"result", "run", "result"})->asString(), "6");
+  expectMatchesOracle(S, Doc, "1 + 5", "after literal edit");
 }
 
 TEST(ServerProtocol, TimingsPresentOnEveryResponse) {
@@ -411,7 +458,6 @@ struct Lcg {
 
 struct TierCounts {
   int Reuse = 0;
-  int Incremental = 0;
   int Full = 0;
 };
 
@@ -446,7 +492,7 @@ void runEditScript(const std::string &Name, const std::string &Source,
       Replacement = "(if true then " + Old + " else " +
                     std::to_string(Rng.next() % 9 + 1) + ")";
       break;
-    case 3: // lambda in the replaced subtree: forces the full tier
+    case 3: // lambda in the replaced subtree
       Replacement = "((fn q => q + " + std::to_string(Rng.next() % 9 + 1) +
                     ") " + Old + ")";
       break;
@@ -467,17 +513,16 @@ void runEditScript(const std::string &Name, const std::string &Source,
 
     const json::Value *Tier = dig(ER, {"result", "tier"});
     ASSERT_NE(Tier, nullptr) << Where;
-    if (Tier->asString() == "reuse")
-      ++Tiers.Reuse;
-    else if (Tier->asString() == "incremental")
-      ++Tiers.Incremental;
-    else
-      ++Tiers.Full;
-    // A reuse-tier edit must dirty nothing.
     if (Tier->asString() == "reuse") {
-      EXPECT_EQ(dig(ER, {"result", "analysis", "dirtied_contexts"})->asInt(),
-                0)
+      ++Tiers.Reuse;
+      // A reuse-tier edit processes no context.
+      EXPECT_EQ(
+          dig(ER, {"result", "analysis", "processed_contexts"})->asInt(), 0)
           << Where;
+    } else if (Tier->asString() == "full") {
+      ++Tiers.Full;
+    } else {
+      ADD_FAILURE() << Where << ": unknown tier " << Tier->asString();
     }
 
     expectMatchesOracle(S, Doc, Text, Where);
@@ -511,30 +556,29 @@ TEST(ServerDifferential, CorpusEditScripts) {
     if (::testing::Test::HasFatalFailure())
       return;
   }
-  // The scripts must actually exercise every tier, and meet the
+  // The scripts must actually exercise both tiers, and meet the
   // acceptance floor of 200+ verified random edits.
   EXPECT_GE(TotalEdits, 200);
   EXPECT_GT(Total.Reuse, 0);
-  EXPECT_GT(Total.Incremental, 0);
   EXPECT_GT(Total.Full, 0);
 }
 
 //===----------------------------------------------------------------------===//
-// Incrementality: a small edit on a warm document re-processes fewer
-// contexts than the full analysis did.
+// Incrementality: on a warm document a literal edit reuses the analysis
+// outright, and a structural edit re-analyzes from scratch but replays the
+// constraint shards it did not touch.
 //===----------------------------------------------------------------------===//
 
-TEST(ServerIncrementality, WarmEditDirtiesFewerContexts) {
+TEST(ServerIncrementality, WarmEditsReuseAnalysisOrShards) {
   driver::Session S;
   std::string Text = programs::appelSource(16);
   int64_t Doc = -1;
   json::Value R = openDoc(S, Text, &Doc);
   ASSERT_TRUE(okOf(R));
-  int64_t FullProcessed =
-      dig(R, {"result", "analysis", "processed_contexts"})->asInt();
-  ASSERT_GT(FullProcessed, 0);
+  ASSERT_GT(dig(R, {"result", "analysis", "processed_contexts"})->asInt(), 0);
 
-  // A literal-only edit reuses the whole analysis: zero contexts dirtied.
+  // A literal-only edit reuses the whole analysis: no context processed,
+  // every shard reused.
   std::vector<std::pair<size_t, size_t>> Tokens = literalTokens(Text);
   ASSERT_FALSE(Tokens.empty());
   auto [Pos, Len] = Tokens.back();
@@ -545,11 +589,12 @@ TEST(ServerIncrementality, WarmEditDirtiesFewerContexts) {
                   ",\"text\":\"77\"}}");
   ASSERT_TRUE(okOf(E1));
   EXPECT_EQ(dig(E1, {"result", "tier"})->asString(), "reuse");
-  EXPECT_EQ(dig(E1, {"result", "analysis", "dirtied_contexts"})->asInt(), 0);
+  EXPECT_EQ(dig(E1, {"result", "analysis", "processed_contexts"})->asInt(), 0);
+  EXPECT_EQ(dig(E1, {"result", "analysis", "shards_reused"})->asInt(),
+            dig(E1, {"result", "analysis", "shards"})->asInt());
   Text.replace(Pos, Len, "77");
 
-  // A structural (arrow-free subtree) edit restarts the worklist from the
-  // edit's frontier only.
+  // A structural (arrow-free subtree) edit takes the full tier ...
   Tokens = literalTokens(Text);
   ASSERT_FALSE(Tokens.empty());
   auto [Pos2, Len2] = Tokens.back();
@@ -560,26 +605,18 @@ TEST(ServerIncrementality, WarmEditDirtiesFewerContexts) {
                   ",\"length\":" + std::to_string(Len2) +
                   ",\"text\":" + jquote(Sub) + "}}");
   ASSERT_TRUE(okOf(E2));
-  EXPECT_EQ(dig(E2, {"result", "tier"})->asString(), "incremental");
-  int64_t Dirtied =
-      dig(E2, {"result", "analysis", "dirtied_contexts"})->asInt();
-  EXPECT_GT(Dirtied, 0);
-  EXPECT_LT(Dirtied, FullProcessed);
+  EXPECT_EQ(dig(E2, {"result", "tier"})->asString(), "full");
   Text.replace(Pos2, Len2, Sub);
   expectMatchesOracle(S, Doc, Text, "warm structural edit");
 
-  // The structural edit re-solved only the shards its constraints
-  // changed; the rest replayed from the per-document cache.
-  int64_t Reused =
-      dig(E2, {"result", "analysis", "shards_reused"})->asInt();
-  EXPECT_GT(Reused, 0);
+  // ... and still re-solves only the shards its constraints changed; the
+  // rest replay from the per-document cache.
+  EXPECT_GT(dig(E2, {"result", "analysis", "shards_reused"})->asInt(), 0);
 }
 
 //===----------------------------------------------------------------------===//
-// Function-body edits: a break whose parent is a lambda or letrec and that
-// replaces the function body itself takes the full tier. Body contexts are
-// registered by the call sites, not by the parent, so a seeded restart
-// from the parent would leave the new body unanalyzed.
+// Function-body edits: replacing the body of a lambda or letrec takes the
+// full tier and answers with a fresh open's report and domains.
 //===----------------------------------------------------------------------===//
 
 /// The raw `result` object of a `query` response, byte for byte.

@@ -51,9 +51,10 @@ def requests():
 # these scopes — or the same scope emitted at a new nesting level —
 # cannot silently re-introduce run-to-run noise into the golden:
 #   timings      wall-clock, never reproducible
+#   micros       wall-clock of a `run` query (compile/execute/total)
 #   memory       arena-pool counters; vary with allocation history
 #   connections  exist only on the socket transport
-VOLATILE_SCOPES = frozenset({"timings", "memory", "connections"})
+VOLATILE_SCOPES = frozenset({"timings", "micros", "memory", "connections"})
 
 
 def strip_volatile(obj):

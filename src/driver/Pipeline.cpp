@@ -112,7 +112,6 @@ void driver::recordPipelineMetrics(MetricsRegistry &Reg,
         Reg.set("constraints_before", Simp.ConstraintsBefore);
         Reg.set("constraints_after", Simp.ConstraintsAfter);
         Reg.set("eq_removed", Simp.EqRemoved);
-        Reg.set("dup_triples_removed", Simp.DupTriplesRemoved);
         Reg.set("forced_triples_removed", Simp.ForcedTriplesRemoved);
         Reg.set("bools_forced", Simp.BoolsForced);
         Reg.set("components", Simp.Components);

@@ -1,13 +1,14 @@
 #include "interp/Interp.h"
 
+#include "ast/IntOps.h"
 #include "support/Arena.h"
+#include "support/BigStack.h"
 #include "vm/Compiler.h"
 #include "vm/VM.h"
 
 #include <cassert>
 #include <chrono>
 #include <optional>
-#include <pthread.h>
 #include <string_view>
 
 using namespace afl;
@@ -502,40 +503,9 @@ std::optional<Addr> Machine::evalCore(const RExpr *N, const EnvNode *Env,
       return std::nullopt;
     int64_t R = RV->Int;
     Value Out;
-    Out.K = Value::Kind::Int;
-    switch (B->op()) {
-    case ast::BinOpKind::Add:
-      Out.Int = L + R;
-      break;
-    case ast::BinOpKind::Sub:
-      Out.Int = L - R;
-      break;
-    case ast::BinOpKind::Mul:
-      Out.Int = L * R;
-      break;
-    case ast::BinOpKind::Div:
-      if (R == 0)
-        return fail("division by zero");
-      Out.Int = L / R;
-      break;
-    case ast::BinOpKind::Mod:
-      if (R == 0)
-        return fail("mod by zero");
-      Out.Int = L % R;
-      break;
-    case ast::BinOpKind::Lt:
-      Out.K = Value::Kind::Bool;
-      Out.Int = L < R;
-      break;
-    case ast::BinOpKind::Le:
-      Out.K = Value::Kind::Bool;
-      Out.Int = L <= R;
-      break;
-    case ast::BinOpKind::Eq:
-      Out.K = Value::Kind::Bool;
-      Out.Int = L == R;
-      break;
-    }
+    Out.K = ast::isComparison(B->op()) ? Value::Kind::Bool : Value::Kind::Int;
+    if (const char *Error = ast::applyBinOp(B->op(), L, R, Out.Int))
+      return fail(Error);
     return writeAt(N, REnv, Out);
   }
   }
@@ -631,25 +601,6 @@ RunResult Machine::run() {
 
 } // namespace
 
-namespace {
-
-/// Evaluation recurses on the host stack (one C++ frame per nested
-/// expression), so deep — but legitimate — recursion needs more than the
-/// default thread stack, especially in unoptimized builds. Run the
-/// machine on a dedicated big-stack thread.
-struct RunTask {
-  Machine *M;
-  RunResult Result;
-};
-
-void *runTrampoline(void *Arg) {
-  auto *Task = static_cast<RunTask *>(Arg);
-  Task->Result = Task->M->run();
-  return nullptr;
-}
-
-} // namespace
-
 bool interp::parseBackendName(std::string_view Text, BackendKind &Out) {
   if (Text == "vm") {
     Out = BackendKind::Vm;
@@ -679,20 +630,12 @@ RunResult interp::run(const RegionProgram &Prog, const Completion &C,
     return Out;
   }
 
+  // Evaluation recurses on the host stack (one C++ frame per nested
+  // expression), so deep — but legitimate — recursion needs more than
+  // the default thread stack, especially in unoptimized builds: run the
+  // machine on the big-stack executor (MaxDepth still bounds it).
   Machine M(Prog, C, Options);
-  RunTask Task;
-  Task.M = &M;
-
-  pthread_attr_t Attr;
-  pthread_attr_init(&Attr);
-  pthread_attr_setstacksize(&Attr, 256 * 1024 * 1024);
-  pthread_t Thread;
-  if (pthread_create(&Thread, &Attr, runTrampoline, &Task) != 0) {
-    pthread_attr_destroy(&Attr);
-    // Fall back to the caller's stack (still guarded by MaxDepth).
-    return M.run();
-  }
-  pthread_attr_destroy(&Attr);
-  pthread_join(Thread, nullptr);
-  return Task.Result;
+  RunResult Result;
+  runOnBigStack([&] { Result = M.run(); });
+  return Result;
 }

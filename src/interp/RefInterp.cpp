@@ -2,10 +2,11 @@
 
 #include "ast/ASTContext.h"
 #include "ast/Expr.h"
+#include "ast/IntOps.h"
+#include "support/BigStack.h"
 
 #include <memory>
 #include <optional>
-#include <pthread.h>
 #include <vector>
 
 using namespace afl;
@@ -227,30 +228,11 @@ private:
       std::optional<RefValuePtr> R = eval(B->rhs(), Env);
       if (!R)
         return std::nullopt;
-      int64_t LI = (*L)->Int, RI = (*R)->Int;
-      switch (B->op()) {
-      case BinOpKind::Add:
-        return mkInt(LI + RI);
-      case BinOpKind::Sub:
-        return mkInt(LI - RI);
-      case BinOpKind::Mul:
-        return mkInt(LI * RI);
-      case BinOpKind::Div:
-        if (RI == 0)
-          return fail("division by zero");
-        return mkInt(LI / RI);
-      case BinOpKind::Mod:
-        if (RI == 0)
-          return fail("mod by zero");
-        return mkInt(LI % RI);
-      case BinOpKind::Lt:
-        return mkBool(LI < RI);
-      case BinOpKind::Le:
-        return mkBool(LI <= RI);
-      case BinOpKind::Eq:
-        return mkBool(LI == RI);
-      }
-      return fail("unknown binary operator");
+      int64_t Out = 0;
+      if (const char *Error =
+              applyBinOp(B->op(), (*L)->Int, (*R)->Int, Out))
+        return fail(Error);
+      return isComparison(B->op()) ? mkBool(Out != 0) : mkInt(Out);
     }
     }
     return fail("unknown expression kind");
@@ -305,41 +287,13 @@ private:
 
 } // namespace
 
-namespace {
-
-/// Like interp::run, evaluation recurses on the host stack; use a
-/// dedicated big-stack thread so deep recursion is bounded by the
-/// interpreter's own depth guard rather than the thread stack.
-struct RefTask {
-  RefMachine *M;
-  const Expr *Root;
-  RefResult Result;
-};
-
-void *refTrampoline(void *Arg) {
-  auto *Task = static_cast<RefTask *>(Arg);
-  Task->Result = Task->M->run(Task->Root);
-  return nullptr;
-}
-
-} // namespace
-
 RefResult interp::runRef(const Expr *Root, const ASTContext &Ctx,
                          uint64_t MaxSteps) {
-  RefMachine M(Ctx, MaxSteps);
-  RefTask Task;
-  Task.M = &M;
-  Task.Root = Root;
-
-  pthread_attr_t Attr;
-  pthread_attr_init(&Attr);
-  pthread_attr_setstacksize(&Attr, 256 * 1024 * 1024);
-  pthread_t Thread;
-  if (pthread_create(&Thread, &Attr, refTrampoline, &Task) != 0) {
-    pthread_attr_destroy(&Attr);
-    return M.run(Root);
-  }
-  pthread_attr_destroy(&Attr);
-  pthread_join(Thread, nullptr);
-  return Task.Result;
+  // Like the tree walker, evaluation recurses on the host stack, and so
+  // does the destruction of long lists and environments at the end of
+  // run(): both run on the big-stack executor, bounded by eval's depth
+  // guard.
+  RefResult Result;
+  runOnBigStack([&] { Result = RefMachine(Ctx, MaxSteps).run(Root); });
+  return Result;
 }

@@ -106,13 +106,27 @@ std::string programs::permSource(int Slots, int Depth) {
   // Each payload slot starts as its own let-bound value so every slot
   // lives in a distinct region — permutations then genuinely move
   // regions between payload positions.
+  // (Appended piece by piece: GCC 12 at -O3 raises a false -Wrestrict
+  // on `"lit" + std::string&&` chains.)
   for (int I = 0; I < M; ++I) {
-    Out += "let w" + std::to_string(I) + " = " + std::to_string(I) + " in ";
-    Init.push_back("w" + std::to_string(I));
+    std::string W = "w";
+    W += std::to_string(I);
+    Out += "let ";
+    Out += W;
+    Out += " = ";
+    Out += std::to_string(I);
+    Out += " in ";
+    Init.push_back(std::move(W));
   }
-  Out += "letrec k q = if fst q <= 0 then 0 else k (fst q - 1, " + Tup(Rot) +
-         ") + k (fst q - 1, " + Tup(Swp) + ") in k (" +
-         std::to_string(Depth) + ", " + Tup(Init) + ") end";
+  Out += "letrec k q = if fst q <= 0 then 0 else k (fst q - 1, ";
+  Out += Tup(Rot);
+  Out += ") + k (fst q - 1, ";
+  Out += Tup(Swp);
+  Out += ") in k (";
+  Out += std::to_string(Depth);
+  Out += ", ";
+  Out += Tup(Init);
+  Out += ") end";
   for (int I = 0; I < M; ++I)
     Out += " end";
   return Out;

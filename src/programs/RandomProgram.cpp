@@ -12,6 +12,18 @@ namespace {
 /// The small monomorphic type universe of generated programs.
 enum class GType { Int, Bool, ListInt, PairIntInt, FnIntInt };
 
+/// Concatenates \p Parts left to right with +=. The generator builds
+/// text this way rather than with `"lit" + std::string&&` chains: GCC 12
+/// at -O3 raises a false -Wrestrict on those, and a chain leaves the
+/// order of its random draws to the compiler. Parts that draw are
+/// generated into locals first, last part first — the order GCC gave
+/// the chains, in which the seeded corpora were generated.
+template <typename... Ts> std::string cat(const Ts &...Parts) {
+  std::string Out;
+  ((Out += Parts), ...);
+  return Out;
+}
+
 class Generator {
 public:
   Generator(unsigned Seed, const RandomProgramOptions &Options)
@@ -85,8 +97,11 @@ private:
       return coin() ? "true" : "false";
     case GType::ListInt:
       return "nil";
-    case GType::PairIntInt:
-      return "(" + genBase(GType::Int) + ", " + genBase(GType::Int) + ")";
+    case GType::PairIntInt: {
+      std::string Second = genBase(GType::Int);
+      std::string First = genBase(GType::Int);
+      return cat("(", First, ", ", Second, ")");
+    }
     case GType::FnIntInt: {
       std::string X = freshName("a");
       return "fn " + X + " => " + X + " + " + std::to_string(pick(10));
@@ -101,26 +116,33 @@ private:
       return genBase(GType::Int);
     case 1: {
       const char *Ops[] = {"+", "-", "*"};
-      return "(" + genExpr(GType::Int, Depth - 1) + " " + Ops[pick(3)] +
-             " " + genExpr(GType::Int, Depth - 1) + ")";
+      std::string Rhs = genExpr(GType::Int, Depth - 1);
+      const char *Op = Ops[pick(3)];
+      std::string Lhs = genExpr(GType::Int, Depth - 1);
+      return cat("(", Lhs, " ", Op, " ", Rhs, ")");
     }
-    case 2: // guarded div/mod
-      return "(" + genExpr(GType::Int, Depth - 1) + " " +
-             (coin() ? "div" : "mod") + " " + std::to_string(1 + pick(9)) +
-             ")";
-    case 3:
-      return "(if " + genExpr(GType::Bool, Depth - 1) + " then " +
-             genExpr(GType::Int, Depth - 1) + " else " +
-             genExpr(GType::Int, Depth - 1) + ")";
+    case 2: { // guarded div/mod
+      std::string Divisor = std::to_string(1 + pick(9));
+      const char *Op = coin() ? "div" : "mod";
+      std::string Lhs = genExpr(GType::Int, Depth - 1);
+      return cat("(", Lhs, " ", Op, " ", Divisor, ")");
+    }
+    case 3: {
+      std::string Else = genExpr(GType::Int, Depth - 1);
+      std::string Then = genExpr(GType::Int, Depth - 1);
+      std::string Cond = genExpr(GType::Bool, Depth - 1);
+      return cat("(if ", Cond, " then ", Then, " else ", Else, ")");
+    }
     case 4:
       return genLet(GType::Int, Depth);
     case 5:
       return "(fst " + genExpr(GType::PairIntInt, Depth - 1) + ")";
     case 6: { // safe head: if null l then k else hd l
       std::string L = freshName("l");
-      return "(let " + L + " = " + genExpr(GType::ListInt, Depth - 1) +
-             " in if null " + L + " then " + std::to_string(pick(10)) +
-             " else hd " + L + " end)";
+      std::string Default = std::to_string(pick(10));
+      std::string Init = genExpr(GType::ListInt, Depth - 1);
+      return cat("(let ", L, " = ", Init, " in if null ", L, " then ",
+                 Default, " else hd ", L, " end)");
     }
     case 7: {
       if (!Options.HigherOrder)
@@ -128,12 +150,14 @@ private:
       if (Options.ClosureEscape && pick(3) == 0) {
         // Store a closure in a pair, retrieve it, apply it.
         std::string P = freshName("cp");
-        return "(let " + P + " = (" + genExpr(GType::FnIntInt, Depth - 1) +
-               ", " + genExpr(GType::Int, Depth - 1) + ") in (fst " + P +
-               ") (snd " + P + ") end)";
+        std::string Arg = genExpr(GType::Int, Depth - 1);
+        std::string Fn = genExpr(GType::FnIntInt, Depth - 1);
+        return cat("(let ", P, " = (", Fn, ", ", Arg, ") in (fst ", P,
+                   ") (snd ", P, ") end)");
       }
-      return "(" + genExpr(GType::FnIntInt, Depth - 1) + ") (" +
-             genExpr(GType::Int, Depth - 1) + ")";
+      std::string Arg = genExpr(GType::Int, Depth - 1);
+      std::string Fn = genExpr(GType::FnIntInt, Depth - 1);
+      return cat("(", Fn, ") (", Arg, ")");
     }
     case 8:
       return genRecInt(Depth);
@@ -147,8 +171,10 @@ private:
       return genBase(GType::Bool);
     case 1: {
       const char *Ops[] = {"<", "<=", "="};
-      return "(" + genExpr(GType::Int, Depth - 1) + " " + Ops[pick(3)] +
-             " " + genExpr(GType::Int, Depth - 1) + ")";
+      std::string Rhs = genExpr(GType::Int, Depth - 1);
+      const char *Op = Ops[pick(3)];
+      std::string Lhs = genExpr(GType::Int, Depth - 1);
+      return cat("(", Lhs, " ", Op, " ", Rhs, ")");
     }
     case 2:
       return "(null " + genExpr(GType::ListInt, Depth - 1) + ")";
@@ -161,9 +187,11 @@ private:
     switch (pick(Options.Recursion ? 5 : 4)) {
     case 0:
       return "nil";
-    case 1:
-      return "(" + genExpr(GType::Int, Depth - 1) +
-             " :: " + genExpr(GType::ListInt, Depth - 1) + ")";
+    case 1: {
+      std::string Tail = genExpr(GType::ListInt, Depth - 1);
+      std::string Head = genExpr(GType::Int, Depth - 1);
+      return cat("(", Head, " :: ", Tail, ")");
+    }
     case 2:
       return genLet(GType::ListInt, Depth);
     case 3: { // safe tail
@@ -185,8 +213,9 @@ private:
   std::string genPair(unsigned Depth) {
     if (pick(3) == 0)
       return genLet(GType::PairIntInt, Depth);
-    return "(" + genExpr(GType::Int, Depth - 1) + ", " +
-           genExpr(GType::Int, Depth - 1) + ")";
+    std::string Second = genExpr(GType::Int, Depth - 1);
+    std::string First = genExpr(GType::Int, Depth - 1);
+    return cat("(", First, ", ", Second, ")");
   }
 
   std::string genFn(unsigned Depth) {
@@ -238,10 +267,11 @@ private:
       Env.push_back({N, GType::Int});
       std::string Step = genExpr(GType::Int, Depth >= 2 ? Depth - 2 : 0);
       Env.pop_back();
-      return "(letrec " + F + " " + N + " = if " + N + " <= 0 then " +
-             std::to_string(pick(10)) + " else (" + Step + ") + " + F +
-             " (" + N + " - 1) in " + F + " (" +
-             std::to_string(1 + pick(6)) + ") end)";
+      std::string Arg = std::to_string(1 + pick(6));
+      std::string Base = std::to_string(pick(10));
+      return cat("(letrec ", F, " ", N, " = if ", N, " <= 0 then ", Base,
+                 " else (", Step, ") + ", F, " (", N, " - 1) in ", F, " (",
+                 Arg, ") end)");
     }
     if (Shape == 1) {
       std::string F = freshName("g");
@@ -255,11 +285,12 @@ private:
       // Accumulator over a pair (count, acc).
       std::string F = freshName("h");
       std::string P = freshName("p");
-      return "(letrec " + F + " " + P + " = if fst " + P +
-             " <= 0 then snd " + P + " else " + F + " (fst " + P +
-             " - 1, snd " + P + " + " + std::to_string(1 + pick(5)) +
-             ") in " + F + " (" + std::to_string(1 + pick(6)) + ", " +
-             genExpr(GType::Int, Depth - 1) + ") end)";
+      std::string Acc = genExpr(GType::Int, Depth - 1);
+      std::string Count = std::to_string(1 + pick(6));
+      std::string Step = std::to_string(1 + pick(5));
+      return cat("(letrec ", F, " ", P, " = if fst ", P, " <= 0 then snd ",
+                 P, " else ", F, " (fst ", P, " - 1, snd ", P, " + ", Step,
+                 ") in ", F, " (", Count, ", ", Acc, ") end)");
     }
     // Aliased pair components: (v, v) puts both components in the same
     // region; the callee's formals for them are bound to one color.

@@ -40,7 +40,13 @@ private:
     Out += '\n';
   }
 
-  static std::string reg(RegionVarId R) { return "r" + std::to_string(R); }
+  // Strings here are built with += rather than `"lit" + std::string&&`
+  // chains: GCC 12 at -O3 raises a false -Wrestrict on that overload.
+  static std::string reg(RegionVarId R) {
+    std::string Out = "r";
+    Out += std::to_string(R);
+    return Out;
+  }
 
   static std::string regionList(const std::vector<RegionVarId> &Rs) {
     std::string S;
@@ -57,7 +63,11 @@ private:
   }
 
   std::string at(const RExpr *N) const {
-    return N->hasWriteRegion() ? ("@" + reg(N->writeRegion())) : "";
+    if (!N->hasWriteRegion())
+      return "";
+    std::string Out = "@";
+    Out += reg(N->writeRegion());
+    return Out;
   }
 
   void printCore(const RExpr *N, unsigned Indent) {
@@ -80,7 +90,9 @@ private:
       const auto *L = cast<RLambdaExpr>(N);
       line(Indent, "(fn " + var(L->param()) + " =>");
       print(L->body(), Indent + 1);
-      line(Indent, ")" + at(N));
+      std::string Close = ")";
+      Close += at(N);
+      line(Indent, Close);
       return;
     }
     case RExpr::Kind::App: {
@@ -184,7 +196,8 @@ std::string regions::printRegionProgram(const RegionProgram &Prog,
   for (size_t I = 0; I != Prog.GlobalRegions.size(); ++I) {
     if (I)
       Header += ", ";
-    Header += "r" + std::to_string(Prog.GlobalRegions[I]);
+    Header += "r";
+    Header += std::to_string(Prog.GlobalRegions[I]);
   }
   P.Out = Header + "\n";
   P.print(Prog.Root, 0);

@@ -13,7 +13,6 @@ void SimplifyStats::accumulate(const SimplifyStats &Other) {
   ConstraintsBefore += Other.ConstraintsBefore;
   ConstraintsAfter += Other.ConstraintsAfter;
   EqRemoved += Other.EqRemoved;
-  DupTriplesRemoved += Other.DupTriplesRemoved;
   ForcedTriplesRemoved += Other.ForcedTriplesRemoved;
   BoolsForced += Other.BoolsForced;
   Components += Other.Components;
@@ -92,14 +91,18 @@ bool solver::simplifyGroup(const ConstraintSystem &Sys, uint32_t KBegin,
   W.MemberTriples.push_back(static_cast<uint32_t>(T.size()));
   uint8_t *const DomP = Dom.data();
 
-  // Phase 2: apply forced booleans to a fixpoint, worklist-driven. A
-  // triple is (re)examined when one of its endpoint classes merges or
-  // shrinks, or its boolean is forced. Classes keep their incident
-  // triple lists — array-backed linked lists over a fixed node pool, so
-  // a class merge concatenates in O(1) with no allocation — merged
-  // small-into-large, making the whole phase near-linear. A
-  // forced-false triple is an equality (fed back into the union-find,
-  // so collapses cascade).
+  // Phase 2: propagate the full §4.3 triple rule to the arc-consistent
+  // fixpoint, worklist-driven. A triple whose boolean is (or becomes)
+  // determined is applied and dropped: a false one is an equality (fed
+  // back into the union-find, so collapses cascade), a true one
+  // restricts its endpoints. An undetermined triple prunes each
+  // endpoint to the union of its two scenarios. A triple is
+  // (re)examined when one of its endpoint classes merges or shrinks, or
+  // its boolean is forced — but not on its own pruning, which is
+  // idempotent. Classes keep their incident triple lists — array-backed
+  // linked lists over a fixed node pool, so a class merge concatenates
+  // in O(1) with no allocation — merged small-into-large, making the
+  // whole phase near-linear.
   const uint32_t NT = static_cast<uint32_t>(T.size());
   W.Alive.assign(NT, 1);
   W.InQueue.assign(NT, 0);
@@ -215,8 +218,10 @@ bool solver::simplifyGroup(const ConstraintSystem &Sys, uint32_t KBegin,
   for (uint32_t TI = 0; TI != NT; ++TI)
     Enqueue(TI);
   while (QHead != Queue.size() && !Conflict) {
+    // The flag stays set while the triple is examined, so its own
+    // pruning below does not queue it again. A dropped triple is never
+    // queued again, whatever its flag.
     uint32_t TI = Queue[QHead++];
-    InQ[TI] = 0;
     if (!Alive[TI])
       continue;
     const Constraint &C = T[TI];
@@ -264,6 +269,13 @@ bool solver::simplifyGroup(const ConstraintSystem &Sys, uint32_t KBegin,
         Restrict(R2, To);
       continue;
     }
+    // Both options open: prune each endpoint to the union of the two
+    // scenarios, the second prune reading the narrowed first. Neither
+    // can empty a domain or decide the boolean (D1 & From, D2 & To and
+    // D1 & D2 all survive), and a second application changes nothing.
+    Restrict(R1, static_cast<uint8_t>(D2 | From));
+    Restrict(R2, static_cast<uint8_t>(DomP[R1] | To));
+    InQ[TI] = 0;
   }
   if (Conflict)
     return false;
@@ -285,55 +297,24 @@ bool solver::simplifyGroup(const ConstraintSystem &Sys, uint32_t KBegin,
     StateRep[V] = StateRep[Root];
   }
 
-  // Phase 4: drop identical surviving triples. The kept copy takes the
-  // *last* occurrence's position: the solver's candidate stacks pop
-  // from the back, so of two identical triples the later one is
-  // considered first — preserving that position keeps the choice order
-  // (and therefore the solution) bit-identical to the raw solver's. The
-  // open-addressing table holds triple index + 1 (0 = empty) and
-  // compares whole triples, so distinct triples never collide however
-  // large the ids grow.
-  size_t Cap = 16;
-  while (Cap < 2 * size_t(NT))
-    Cap <<= 1;
-  const size_t Mask = Cap - 1;
-  std::vector<uint32_t> &Table = W.DedupTable;
-  Table.assign(Cap, 0);
-  for (uint32_t TI = NT; TI-- > 0;) {
-    if (!Alive[TI])
-      continue;
-    const Constraint &C = T[TI];
-    const uint32_t R1 = StateRep[C.S1], R2 = StateRep[C.S2];
-    assert(R1 != R2 && "live triple with equal representatives");
-    uint64_t H = (uint64_t(R1) << 32 | R2) * 0x9E3779B97F4A7C15ull;
-    H ^= (uint64_t(C.B) << 1 | (C.K == Constraint::Kind::AllocTriple)) *
-         0xC2B2AE3D27D4EB4Full;
-    for (size_t Slot = (H ^ H >> 32) & Mask;; Slot = (Slot + 1) & Mask) {
-      uint32_t E = Table[Slot];
-      if (E == 0) {
-        Table[Slot] = TI + 1;
-        break;
-      }
-      const Constraint &O = T[E - 1];
-      if (O.K == C.K && O.B == C.B && StateRep[O.S1] == R1 &&
-          StateRep[O.S2] == R2) {
-        Alive[TI] = 0;
-        ++Stats.DupTriplesRemoved;
-        break;
-      }
-    }
-  }
-
   // Emit the residual in triple order over representative ids; member
-  // triple ranges give the per-component residual sizes.
+  // triple ranges give the per-component residual sizes. Identical
+  // triples all stay: the solver's candidate stacks pop the later copy
+  // first, so an earlier copy is only ever examined under the
+  // conditions its twin was just rejected or chosen under
+  // (docs/SOLVER.md).
   W.Cons.clear();
   size_t Largest = 0;
   for (size_t M = 0; M + 1 < W.MemberTriples.size(); ++M) {
     const size_t Before = W.Cons.size();
     for (uint32_t TI = W.MemberTriples[M]; TI != W.MemberTriples[M + 1]; ++TI)
-      if (Alive[TI])
+      if (Alive[TI]) {
+        assert(BD[T[TI].B] == BAny &&
+               StateRep[T[TI].S1] != StateRep[T[TI].S2] &&
+               "a residual triple is open and joins two classes");
         W.Cons.push_back(
             {T[TI].K, StateRep[T[TI].S1], StateRep[T[TI].S2], T[TI].B});
+      }
     Largest = std::max(Largest, W.Cons.size() - Before);
   }
 

@@ -12,20 +12,20 @@
 ///      initial domain is the intersection of the members' domains.
 ///      `Eq` constraints disappear from the solve entirely; an empty
 ///      intersection is an early conflict (unsatisfiable).
-///   2. **Forced-boolean elimination** — a triple whose boolean value is
-///      already determined by the initial representative domains is
-///      applied and dropped: `b = false` turns the triple into an
-///      equality (fed back into the union-find, so collapses cascade);
-///      `b = true` restricts the endpoint domains to the transition
-///      states. A triple whose endpoints share a representative forces
-///      `b = false` (the U→A / A→D transition cannot happen on one
-///      variable).
-///   3. **Deduplication** — identical residual triples (same kind,
-///      representatives and boolean) are kept once.
+///   2. **Arc-consistent fixpoint** — every triple applies the full
+///      §4.3 rule over the class domains. A triple whose boolean is
+///      determined (initially, or by the domains) is applied and
+///      dropped: `b = false` turns the triple into an equality (fed back
+///      into the union-find, so collapses cascade); `b = true` restricts
+///      the endpoint domains to the transition states. A triple whose
+///      endpoints share a representative forces `b = false` (the U→A /
+///      A→D transition cannot happen on one variable). An undetermined
+///      triple prunes each endpoint to the union of its two scenarios.
 ///
 /// The residual is written straight into the solver's workspace
-/// (src/solver/Workspace.h) and solved there; this header only carries
-/// the statistics callers see.
+/// (src/solver/Workspace.h) and solved there, starting at its first
+/// choice: the fixpoint above is the one the engine's own propagation
+/// would reach. This header only carries the statistics callers see.
 ///
 /// The **representative-mapping invariant**: at any propagation fixpoint
 /// of the raw solver, all `Eq`-connected variables hold identical
@@ -51,8 +51,6 @@ struct SimplifyStats {
   size_t ConstraintsAfter = 0;
   /// `Eq` constraints removed by the union-find collapse (all of them).
   size_t EqRemoved = 0;
-  /// Identical residual triples dropped.
-  size_t DupTriplesRemoved = 0;
   /// Triples dropped because their boolean was forced.
   size_t ForcedTriplesRemoved = 0;
   /// Boolean variables fixed during preprocessing.

@@ -25,7 +25,11 @@ public:
 
   /// True iff the loaded system is satisfiable; the solution is then
   /// in `W.SD` / `W.BD`. Adds the work counters to Counts either way.
-  bool run();
+  /// \p AtFixpoint says the loaded domains already are the
+  /// arc-consistent fixpoint of the loaded constraints (a simplified
+  /// residual), so the search starts at its first choice; otherwise
+  /// every constraint is propagated once first.
+  bool run(bool AtFixpoint);
 
 private:
   /// CSR occurrence lists of the loaded constraints (ascending
@@ -275,14 +279,14 @@ private:
   size_t QueueHead = 0;
   size_t BoolPointer = 0;
   bool Seeded = false;
-  /// Off during the initial propagation, which then pushes neither trail
-  /// entries nor border candidates (docs/SOLVER.md): no decision can
-  /// roll back below it, and the seeding in findChoice stacks every
-  /// triple above anything it would have pushed.
+  /// Off during the raw oracle's initial propagation, which then pushes
+  /// neither trail entries nor border candidates (docs/SOLVER.md): no
+  /// decision can roll back below it, and the seeding in findChoice
+  /// stacks every triple above anything it would have pushed.
   bool Recording = false;
 };
 
-bool Core::run() {
+bool Core::run(bool AtFixpoint) {
   // An empty initial domain is a conflict even when the variable occurs
   // in no constraint — propagation would never visit it, and a
   // completion extracted from such a "solution" would be unsound.
@@ -298,12 +302,17 @@ bool Core::run() {
   W.Trail.clear();
   W.Decisions.clear();
 
-  // Initial propagation: seed with every constraint.
-  W.InQueue.assign(NumCons, 1);
-  W.Queue.resize(NumCons);
-  std::iota(W.Queue.begin(), W.Queue.end(), 0u);
-  if (!propagate())
-    return false;
+  if (AtFixpoint) {
+    W.InQueue.assign(NumCons, 0);
+    W.Queue.clear();
+  } else {
+    // Initial propagation: seed with every constraint.
+    W.InQueue.assign(NumCons, 1);
+    W.Queue.resize(NumCons);
+    std::iota(W.Queue.begin(), W.Queue.end(), 0u);
+    if (!propagate())
+      return false;
+  }
   Recording = true;
 
   for (;;) {
@@ -340,7 +349,7 @@ SolveResult solveRaw(const ConstraintSystem &Sys) {
   Workspace W;
   W.SD = Sys.StateDom;
   W.BD = Sys.BoolDom;
-  if (Core(W, Sys.Cons.data(), Sys.Cons.size(), R).run()) {
+  if (Core(W, Sys.Cons.data(), Sys.Cons.size(), R).run(/*AtFixpoint=*/false)) {
     R.Sat = true;
     R.StateDom = std::move(W.SD);
     R.BoolDom = std::move(W.BD);
@@ -381,7 +390,8 @@ bool solveGroup(const ConstraintSystem &Sys, uint32_t KBegin, uint32_t KEnd,
   bool Ok = simplifyGroup(Sys, KBegin, KEnd, W, Stats);
   Stats.SimplifySeconds = Watch.seconds();
   R.Simplify.accumulate(Stats);
-  return Ok && Core(W, W.Cons.data(), W.Cons.size(), R).run();
+  return Ok &&
+         Core(W, W.Cons.data(), W.Cons.size(), R).run(/*AtFixpoint=*/true);
 }
 
 /// Shared epilogue of the sharded paths: whole-system statistics, and

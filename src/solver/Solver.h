@@ -21,8 +21,9 @@
 /// shards (its connected components, finalized by the generator's
 /// union-find) are grouped into runs of about 8k constraints, and each
 /// group is simplified (src/solver/Simplify.h: equalities collapsed by
-/// union-find, forced triples eliminated, duplicates dropped) straight
-/// into a per-call workspace and solved there over byte-lane domains.
+/// union-find, propagated to the arc-consistent fixpoint, forced
+/// triples eliminated) straight into a per-call workspace and solved
+/// there over byte-lane domains, from its first choice on.
 /// The solution is then mapped back to the original variable space, so
 /// callers observe exactly the domains the raw §4.3 engine produces on
 /// the unsimplified system — the oracle (`--no-simplify`), which runs

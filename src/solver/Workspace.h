@@ -9,8 +9,8 @@
 ///
 /// A group is loaded in group-local ids: the member shards' variables
 /// numbered by rank, member by member (`LocalState` / `LocalBool`, built
-/// once per call). `simplifyGroup` collapses, forces and deduplicates
-/// the group's constraints into the residual arrays below; the core
+/// once per call). `simplifyGroup` collapses and propagates the
+/// group's constraints into the residual arrays below; the core
 /// engine in Solver.cpp then solves whatever is loaded — the residual,
 /// or the raw system for the `--no-simplify` oracle — over byte-lane
 /// domains and CSR occurrence lists.
@@ -73,7 +73,7 @@ struct Workspace {
   std::vector<uint32_t> Parent;
   std::vector<ClassList> Lists;
   std::vector<Node> Nodes;
-  std::vector<uint32_t> DedupTable, MemberTriples;
+  std::vector<uint32_t> MemberTriples;
 };
 
 /// Simplifies the contiguous shard group [\p KBegin, \p KEnd) of \p Sys

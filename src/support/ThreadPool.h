@@ -5,8 +5,9 @@
 /// One pool (ThreadPool::global(), sized to the hardware) backs every
 /// thread in the process: batch items (driver/BatchRunner) run on it
 /// through parallelFor, and the socket transport (driver/Server) runs
-/// one detached connection handler per client on it through submit(),
-/// so nothing else spawns threads of its own.
+/// one detached connection handler per client on it through submit().
+/// The only other threads are the big-stack helpers of
+/// support/BigStack.h, one per thread that runs a recursive evaluator.
 ///
 /// The only primitive is parallelFor(Items, MaxWorkers, Fn): run
 /// Fn(0..Items-1) with at most MaxWorkers concurrent executors and block

@@ -1,6 +1,7 @@
 #include "vm/VM.h"
 
 #include "ast/Expr.h"
+#include "ast/IntOps.h"
 #include "support/Arena.h"
 
 #include <cassert>
@@ -375,9 +376,16 @@ std::string VM::render(Addr A, unsigned Depth) {
     return "<fn>";
   case Cell::Kind::RegClos:
     return "<regfn>";
-  case Cell::Kind::Pair:
-    return "(" + render(V.P.A, Depth + 1) + ", " + render(V.P.B, Depth + 1) +
-           ")";
+  case Cell::Kind::Pair: {
+    // Built with += rather than operator+ chains: GCC 12's -Wrestrict
+    // fires a false positive on the inlined char*+string&& overload.
+    std::string Out = "(";
+    Out += render(V.P.A, Depth + 1);
+    Out += ", ";
+    Out += render(V.P.B, Depth + 1);
+    Out += ")";
+    return Out;
+  }
   case Cell::Kind::Nil:
   case Cell::Kind::Cons: {
     std::string Out = "[";
@@ -714,46 +722,11 @@ RunResult VM::run() {
         break;
       int64_t R = numericValue(*RV);
       Cell Out;
-      Out.K = Cell::Kind::Int;
-      switch (Kind) {
-      case ast::BinOpKind::Add:
-        Out.I = L + R;
-        break;
-      case ast::BinOpKind::Sub:
-        Out.I = L - R;
-        break;
-      case ast::BinOpKind::Mul:
-        Out.I = L * R;
-        break;
-      case ast::BinOpKind::Div:
-        if (R == 0) {
-          fail("division by zero");
-          break;
-        }
-        Out.I = L / R;
-        break;
-      case ast::BinOpKind::Mod:
-        if (R == 0) {
-          fail("mod by zero");
-          break;
-        }
-        Out.I = L % R;
-        break;
-      case ast::BinOpKind::Lt:
-        Out.K = Cell::Kind::Bool;
-        Out.I = L < R;
-        break;
-      case ast::BinOpKind::Le:
-        Out.K = Cell::Kind::Bool;
-        Out.I = L <= R;
-        break;
-      case ast::BinOpKind::Eq:
-        Out.K = Cell::Kind::Bool;
-        Out.I = L == R;
+      Out.K = ast::isComparison(Kind) ? Cell::Kind::Bool : Cell::Kind::Int;
+      if (const char *Error = ast::applyBinOp(Kind, L, R, Out.I)) {
+        fail(Error);
         break;
       }
-      if (Failed)
-        break;
       writeCell(Dst, Out);
       break;
     }

@@ -313,6 +313,24 @@ TEST(BatchRunner, FailuresAreIsolated) {
   EXPECT_EQ(B.Items[3].ResultText, "0");
 }
 
+TEST(BatchRunner, IntegerEdgeCasesCompleteTheBatch) {
+  // min div -1 and min mod -1 used to raise SIGFPE and take the whole
+  // batch down: no rows for the other files and no metrics. They now
+  // evaluate (docs/LANGUAGE.md), and every row is reported.
+  std::vector<driver::BatchItem> Work = {
+      {"min-div.afl", "(0 - 9223372036854775807 - 1) div (0 - 1)", ""},
+      {"min-mod.afl", "(0 - 9223372036854775807 - 1) mod (0 - 1)", ""},
+      {"good.afl", "2 * 21", ""},
+  };
+  driver::BatchResult B = driver::runBatch(Work, driver::PipelineOptions(), 2);
+  ASSERT_EQ(B.Items.size(), 3u);
+  EXPECT_EQ(B.NumOk, 3u);
+  EXPECT_TRUE(B.allOk());
+  EXPECT_EQ(B.Items[0].ResultText, "-9223372036854775808");
+  EXPECT_EQ(B.Items[1].ResultText, "0");
+  EXPECT_EQ(B.Items[2].ResultText, "42");
+}
+
 TEST(BatchRunner, AggregatesSumPerItemStats) {
   std::vector<driver::BatchItem> Work = corpusWork();
   driver::BatchResult B = driver::runBatch(Work, driver::PipelineOptions(), 3);

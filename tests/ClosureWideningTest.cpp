@@ -449,7 +449,9 @@ TEST(ClosureWidening, PrecisionSweepCorpusAndRandom500) {
   // must hold is that the sweep ran everything.
   for (size_t I = 0; I != NumSweepBounds; ++I) {
     const PrecisionDelta &D = Agg[I];
-    std::string K = "k" + std::to_string(SweepBounds[I]) + "_";
+    std::string K = "k";
+    K += std::to_string(SweepBounds[I]);
+    K += "_";
     EXPECT_EQ(D.Programs, 508u) << K;
     ::testing::Test::RecordProperty(K + "programs",
                                     static_cast<int>(D.Programs));

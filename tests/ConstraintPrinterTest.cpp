@@ -55,9 +55,12 @@ TEST(ConstraintPrinter, SummaryAndDump) {
   EXPECT_NE(Dump.find(")d"), std::string::npos);
   EXPECT_NE(Dump.find("alloc_before r"), std::string::npos);
   // Every choice boolean appears in the dump.
-  for (const ChoicePoint &CP : Gen.Choices)
-    EXPECT_NE(Dump.find("c" + std::to_string(CP.B) + " := "),
-              std::string::npos);
+  for (const ChoicePoint &CP : Gen.Choices) {
+    std::string Assign = "c";
+    Assign += std::to_string(CP.B);
+    Assign += " := ";
+    EXPECT_NE(Dump.find(Assign), std::string::npos);
+  }
 }
 
 TEST(ConstraintPrinter, ChoicesCoverEveryOverallEffectRegion) {

@@ -2,12 +2,14 @@
 // instrumentation counters, trace recording, and safety trapping
 // (the dynamic checks behind Theorem 5.1). Every test runs under both
 // evaluators — the bytecode VM and the tree walker — so the trap
-// messages and counters are pinned for each backend independently.
+// messages and counters are pinned for each backend independently; the
+// integer edge cases are checked against the reference interpreter too.
 
 #include "ast/ASTContext.h"
 #include "completion/Conservative.h"
 #include "completion/StorageModes.h"
 #include "interp/Interp.h"
+#include "interp/RefInterp.h"
 #include "parser/Parser.h"
 #include "regions/RegionInference.h"
 #include "types/TypeInference.h"
@@ -216,6 +218,53 @@ TEST_P(InterpTest, RendersValues) {
     interp::RunResult R = run(*B.Prog, B.Cons);
     ASSERT_TRUE(R.Ok) << C.Source << ": " << R.Error;
     EXPECT_EQ(R.ResultText, C.Expected) << C.Source;
+  }
+}
+
+TEST_P(InterpTest, IntegerEdgeCasesMatchReference) {
+  // 64-bit two's complement (docs/LANGUAGE.md): + - * wrap, min div -1
+  // is min and min mod -1 is 0. The division cases used to kill the
+  // process with SIGFPE, and the wrapping ones were undefined behaviour.
+  // All three evaluators must agree.
+  struct Case {
+    const char *Source;
+    const char *Expected;
+  } Cases[] = {
+      {"(0 - 9223372036854775807 - 1) div (0 - 1)", "-9223372036854775808"},
+      {"(0 - 9223372036854775807 - 1) mod (0 - 1)", "0"},
+      {"9223372036854775807 + 1", "-9223372036854775808"},
+      {"(0 - 9223372036854775807 - 1) - 1", "9223372036854775807"},
+      {"9223372036854775807 * 2", "-2"},
+      {"(0 - 7) div 2", "-3"},
+      {"(0 - 7) mod 2", "-1"},
+      {"7 div (0 - 1)", "-7"},
+  };
+  for (const Case &C : Cases) {
+    ast::ASTContext Ctx;
+    DiagnosticEngine Diags;
+    const ast::Expr *E = parseExpr(C.Source, Ctx, Diags);
+    ASSERT_NE(E, nullptr) << C.Source << ": " << Diags.str();
+    interp::RefResult Ref = interp::runRef(E, Ctx);
+    ASSERT_TRUE(Ref.Ok) << C.Source << ": " << Ref.Error;
+    EXPECT_EQ(Ref.ResultText, C.Expected) << C.Source;
+    Built B = build(C.Source);
+    interp::RunResult R = run(*B.Prog, B.Cons);
+    ASSERT_TRUE(R.Ok) << C.Source << ": " << R.Error;
+    EXPECT_EQ(R.ResultText, C.Expected) << C.Source;
+  }
+  // A zero divisor stays a runtime error everywhere.
+  for (const char *Source : {"1 div 0", "1 mod 0"}) {
+    ast::ASTContext Ctx;
+    DiagnosticEngine Diags;
+    const ast::Expr *E = parseExpr(Source, Ctx, Diags);
+    ASSERT_NE(E, nullptr) << Source;
+    interp::RefResult Ref = interp::runRef(E, Ctx);
+    EXPECT_FALSE(Ref.Ok) << Source;
+    Built B = build(Source);
+    interp::RunResult R = run(*B.Prog, B.Cons);
+    EXPECT_FALSE(R.Ok) << Source;
+    EXPECT_EQ(R.Error, Ref.Error) << Source;
+    EXPECT_NE(R.Error.find("by zero"), std::string::npos) << R.Error;
   }
 }
 

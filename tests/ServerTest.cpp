@@ -259,6 +259,30 @@ TEST(ServerProtocol, RunQueryExecutesDocument) {
   EXPECT_NE(Unknown.find("error")->asString().find("run"), std::string::npos);
 }
 
+TEST(ServerProtocol, RunQuerySurvivesIntegerEdgeCases) {
+  // `query run` on min mod -1 used to raise SIGFPE and kill the server
+  // (under --listen, every connection with it). It now answers, and the
+  // session keeps serving.
+  driver::Session S;
+  int64_t Doc = -1;
+  ASSERT_TRUE(okOf(
+      openDoc(S, "(0 - 9223372036854775807 - 1) mod (0 - 1)", &Doc)));
+  json::Value Q = call(S, "{\"method\":\"query\",\"params\":{\"doc\":" +
+                              std::to_string(Doc) + ",\"what\":\"run\"}}");
+  ASSERT_TRUE(okOf(Q));
+  EXPECT_TRUE(dig(Q, {"result", "run", "ok"})->asBool());
+  EXPECT_EQ(dig(Q, {"result", "run", "result"})->asString(), "0");
+
+  int64_t Div = -1;
+  ASSERT_TRUE(okOf(
+      openDoc(S, "(0 - 9223372036854775807 - 1) div (0 - 1)", &Div)));
+  json::Value Next = call(S, "{\"method\":\"query\",\"params\":{\"doc\":" +
+                                 std::to_string(Div) + ",\"what\":\"run\"}}");
+  ASSERT_TRUE(okOf(Next));
+  EXPECT_EQ(dig(Next, {"result", "run", "result"})->asString(),
+            "-9223372036854775808");
+}
+
 TEST(ServerProtocol, RunAfterLiteralEditRunsNewRevision) {
   // A literal-only edit takes the reuse tier, but `query run` must execute
   // the edited text, exactly as a fresh open of it would.

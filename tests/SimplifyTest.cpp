@@ -1,8 +1,9 @@
 // Unit tests for the solver preprocessing layer, observed through the
 // production solve and its statistics: union-find collapse of Eq
-// constraints, forced-boolean elimination, triple deduplication, early
-// conflict detection, and the emission-time shard index the solve
-// consumes (checked against a test-local union-find oracle).
+// constraints, the arc-consistent fixpoint with forced-boolean
+// elimination, early conflict detection, and the emission-time shard
+// index the solve consumes (checked against a test-local union-find
+// oracle).
 
 #include "constraints/ConstraintSystem.h"
 #include "solver/Solver.h"
@@ -139,9 +140,11 @@ TEST(Simplify, EmptyInitialDomainIsConflict) {
   EXPECT_FALSE(solveRaw(Sys).Sat);
 }
 
-TEST(Simplify, DedupIdenticalTriples) {
-  // Two contexts generating the same triple over Eq-linked states
-  // collapse to one residual triple.
+TEST(Simplify, IdenticalTriplesBothStay) {
+  // Two contexts generating the same triple over Eq-linked states: the
+  // residual keeps both copies (the engine pops the later one first, so
+  // the earlier never decides anything), and the answer is the raw
+  // engine's.
   ConstraintSystem Sys;
   StateVarId A1 = Sys.newState();
   StateVarId A2 = Sys.newState();
@@ -153,10 +156,42 @@ TEST(Simplify, DedupIdenticalTriples) {
   Sys.addAllocTriple(A1, B, B1);
   Sys.addAllocTriple(A2, B, B2);
   SolveResult R = solve(Sys);
+  SolveResult Raw = solveRaw(Sys);
   ASSERT_TRUE(R.Sat);
-  EXPECT_EQ(R.Simplify.DupTriplesRemoved, 1u);
-  EXPECT_EQ(R.Simplify.ConstraintsAfter, 1u);
-  EXPECT_EQ(R.BoolDom, solveRaw(Sys).BoolDom);
+  ASSERT_TRUE(Raw.Sat);
+  EXPECT_EQ(R.Simplify.ConstraintsAfter, 2u);
+  EXPECT_EQ(R.StateDom, Raw.StateDom);
+  EXPECT_EQ(R.BoolDom, Raw.BoolDom);
+}
+
+TEST(Simplify, UnionPruningForcesBothTriples) {
+  // Only the undetermined-case rule (prune each endpoint to the union
+  // of the two scenarios) decides this system. alloc(S0, b1, S1) with
+  // S1 = {A} prunes S0 to {U, A}; then dealloc(S3, b2, S0) cannot reach
+  // D in S0, so b2 is false and S3 = S0 = {A}; then S0 cannot be U, so
+  // b1 is false too. The simplifier forces both, leaving the engine
+  // nothing to propagate.
+  ConstraintSystem Sys;
+  StateVarId S0 = Sys.newState();
+  StateVarId S1 = Sys.newState(StA);
+  StateVarId S3 = Sys.newState(static_cast<uint8_t>(StA | StD));
+  BoolVarId B1 = Sys.newBool();
+  BoolVarId B2 = Sys.newBool();
+  Sys.addAllocTriple(S0, B1, S1);
+  Sys.addDeallocTriple(S3, B2, S0);
+  SolveResult R = solve(Sys);
+  SolveResult Raw = solveRaw(Sys);
+  ASSERT_TRUE(R.Sat);
+  ASSERT_TRUE(Raw.Sat);
+  EXPECT_EQ(R.Simplify.ConstraintsAfter, 0u);
+  EXPECT_EQ(R.Simplify.BoolsForced, 2u);
+  EXPECT_EQ(R.Propagations, 0u);
+  EXPECT_EQ(R.StateDom, Raw.StateDom);
+  EXPECT_EQ(R.BoolDom, Raw.BoolDom);
+  EXPECT_EQ(R.StateDom[S0], StA);
+  EXPECT_EQ(R.BoolDom[B1], BFalse);
+  EXPECT_EQ(R.BoolDom[B2], BFalse);
+  EXPECT_EQ(checkSolution(Sys, R), "");
 }
 
 TEST(Simplify, ForcedTrueTripleEliminated) {
@@ -463,7 +498,6 @@ TEST(Shards, SimplifyShardRangeIsConcatenation) {
   EXPECT_EQ(G.ConstraintsBefore, P.ConstraintsBefore);
   EXPECT_EQ(G.ConstraintsAfter, P.ConstraintsAfter);
   EXPECT_EQ(G.EqRemoved, P.EqRemoved);
-  EXPECT_EQ(G.DupTriplesRemoved, P.DupTriplesRemoved);
   EXPECT_EQ(G.ForcedTriplesRemoved, P.ForcedTriplesRemoved);
   EXPECT_EQ(G.BoolsForced, P.BoolsForced);
   EXPECT_EQ(G.Components, P.Components);

@@ -123,10 +123,13 @@ TEST(ThreadPool, ExecutorsAreBoundedUnderRepetition) {
 }
 
 TEST(ThreadPool, SubmitRunsDetachedTasks) {
-  ThreadPool Pool(2);
+  // The pool is declared after what its tasks use, so it joins its
+  // workers before those are destroyed: the last task may still be
+  // unlocking M when the wait below returns.
   std::atomic<unsigned> Ran{0};
   std::mutex M;
   std::condition_variable CV;
+  ThreadPool Pool(2);
   for (unsigned I = 0; I != 8; ++I)
     Pool.submit([&] {
       if (Ran.fetch_add(1, std::memory_order_acq_rel) + 1 == 8) {
@@ -141,6 +144,12 @@ TEST(ThreadPool, SubmitRunsDetachedTasks) {
 }
 
 TEST(ThreadPool, EnsureWorkersGrowsButNeverShrinks) {
+  // Declared before the pool, which joins its workers (still leaving
+  // their waits on CV) before these are destroyed.
+  std::atomic<unsigned> Arrived{0};
+  std::mutex M;
+  std::condition_variable CV;
+  std::atomic<bool> Done{false};
   ThreadPool Pool(1);
   EXPECT_EQ(Pool.numThreads(), 1u);
   Pool.ensureWorkers(4);
@@ -150,10 +159,6 @@ TEST(ThreadPool, EnsureWorkersGrowsButNeverShrinks) {
 
   // The grown workers actually serve the queue: four tasks that must be
   // concurrently live to finish would deadlock on a one-worker pool.
-  std::atomic<unsigned> Arrived{0};
-  std::mutex M;
-  std::condition_variable CV;
-  std::atomic<bool> Done{false};
   for (unsigned I = 0; I != 4; ++I)
     Pool.submit([&] {
       Arrived.fetch_add(1, std::memory_order_acq_rel);

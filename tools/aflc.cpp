@@ -73,7 +73,7 @@ namespace {
 
 /// Version of the `--metrics` JSON schema: bumped whenever a key is
 /// removed or changes meaning (docs/OBSERVABILITY.md).
-constexpr unsigned MetricsSchemaVersion = 2;
+constexpr unsigned MetricsSchemaVersion = 3;
 
 void usage() {
   std::fprintf(

@@ -26,6 +26,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <initializer_list>
 #include <set>
 
 using namespace afl;
@@ -363,25 +364,29 @@ BENCHMARK(BM_FullAnalysis_Corpus)->DenseRange(0, 4);
 /// wall time is reported (in milliseconds, averaged over iterations).
 void BM_FullPipeline_Stages(benchmark::State &State) {
   std::string Src = chainProgram(static_cast<int>(State.range(0)));
-  driver::PipelineStats Agg;
+  MetricsRegistry Agg;
   uint64_t Iters = 0;
   for (auto _ : State) {
     driver::PipelineResult R = driver::runPipeline(Src);
     benchmark::DoNotOptimize(R.Ok);
-    Agg.accumulate(R.Stats);
+    MetricsRegistry One;
+    R.recordMetrics(One);
+    Agg.merge(One);
     ++Iters;
   }
-  auto Ms = [&](double Seconds) {
+  auto Ms = [&](std::initializer_list<const char *> Stages) {
+    double Seconds = 0;
+    for (const char *Stage : Stages)
+      Seconds += Agg.timer(std::string("stages/") + Stage + "/wall_seconds");
     return Seconds * 1e3 / static_cast<double>(Iters ? Iters : 1);
   };
-  State.counters["parse_ms"] = Ms(Agg.ParseSeconds);
-  State.counters["regions_ms"] = Ms(Agg.RegionInferSeconds);
-  State.counters["closure_ms"] = Ms(Agg.ClosureSeconds);
-  State.counters["congen_ms"] = Ms(Agg.ConstraintGenSeconds);
-  State.counters["solve_ms"] = Ms(Agg.SolveSeconds);
+  State.counters["parse_ms"] = Ms({"parse"});
+  State.counters["regions_ms"] = Ms({"region_inference"});
+  State.counters["closure_ms"] = Ms({"closure_analysis"});
+  State.counters["congen_ms"] = Ms({"constraint_gen"});
+  State.counters["solve_ms"] = Ms({"solve"});
   State.counters["run_ms"] =
-      Ms(Agg.RunConservativeSeconds + Agg.RunAflSeconds +
-         Agg.RunReferenceSeconds);
+      Ms({"run_conservative", "run_afl", "run_reference"});
 }
 BENCHMARK(BM_FullPipeline_Stages)->Arg(4)->Arg(8)->Arg(16);
 

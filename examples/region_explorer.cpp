@@ -69,8 +69,9 @@ int main(int Argc, char **Argv) {
   std::printf("=== A-F-L completion ===\n%s\n", R.printAfl().c_str());
 
   std::printf("=== analysis ===\n");
-  std::printf("closure-analysis passes:   %u\n", R.Analysis.ClosurePasses);
-  std::printf("abstract closures:         %zu\n", R.Analysis.NumClosures);
+  std::printf("closure-analysis passes:   %u\n", R.Analysis.Closure.Passes);
+  std::printf("abstract closures:         %zu\n",
+              R.Analysis.Closure.NumClosures);
   std::printf("(expr, region-env) pairs:  %zu\n", R.Analysis.NumContexts);
   std::printf("state variables:           %zu\n", R.Analysis.NumStateVars);
   std::printf("boolean variables:         %zu\n", R.Analysis.NumBoolVars);

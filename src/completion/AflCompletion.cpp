@@ -61,8 +61,6 @@ Completion completion::aflCompletion(const RegionProgram &Prog,
     if (Stats) {
       Stats->ClosureSeconds = ClosureSeconds;
       Stats->Closure = CA.stats();
-      Stats->ClosurePasses = CA.stats().Passes;
-      Stats->NumClosures = CA.numClosures();
       Stats->Solved = false;
     }
     return conservativeCompletion(Prog);
@@ -80,9 +78,7 @@ Completion completion::aflCompletion(const RegionProgram &Prog,
     Stats->ConstraintGenSeconds = GenSeconds;
     Stats->SolveSeconds = Sol.Seconds;
     Stats->Closure = CA.stats();
-    Stats->ClosurePasses = CA.stats().Passes;
     Stats->NumContexts = Gen.NumContexts;
-    Stats->NumClosures = CA.numClosures();
     Stats->NumStateVars = Gen.Sys.numStateVars();
     Stats->NumBoolVars = Gen.Sys.numBoolVars();
     Stats->NumConstraints = Gen.Sys.numConstraints();

@@ -24,11 +24,9 @@ namespace completion {
 
 /// Analysis telemetry for benchmarking and the paper's complexity claims.
 struct AflStats {
-  unsigned ClosurePasses = 0;
   /// Full fixpoint telemetry (mode, work counters, table sizes).
   closure::ClosureStats Closure;
   size_t NumContexts = 0;
-  size_t NumClosures = 0;
   size_t NumStateVars = 0;
   size_t NumBoolVars = 0;
   size_t NumConstraints = 0;

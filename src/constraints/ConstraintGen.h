@@ -29,8 +29,6 @@
 #include "regions/Completion.h"
 #include "regions/RegionProgram.h"
 
-#include <algorithm>
-
 namespace afl {
 namespace constraints {
 
@@ -68,15 +66,6 @@ struct ShardingStats {
   size_t InternedShapes = 0;
   /// Wall time to finalize the union-find into CSR shard tables.
   double FinalizeSeconds = 0.0;
-
-  /// Batch aggregation: sums, except the largest-shard maximum.
-  void accumulate(const ShardingStats &O) {
-    Shards += O.Shards;
-    LargestShardConstraints =
-        std::max(LargestShardConstraints, O.LargestShardConstraints);
-    InternedShapes += O.InternedShapes;
-    FinalizeSeconds += O.FinalizeSeconds;
-  }
 };
 
 /// Generated system plus the choice-point index used to extract the

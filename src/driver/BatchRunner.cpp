@@ -10,58 +10,6 @@
 using namespace afl;
 using namespace afl::driver;
 
-namespace {
-
-void accumulateAnalysis(completion::AflStats &Agg,
-                        const completion::AflStats &S) {
-  Agg.ClosurePasses += S.ClosurePasses;
-  Agg.NumContexts += S.NumContexts;
-  Agg.NumClosures += S.NumClosures;
-  Agg.NumStateVars += S.NumStateVars;
-  Agg.NumBoolVars += S.NumBoolVars;
-  Agg.NumConstraints += S.NumConstraints;
-  Agg.NumPinnedCalls += S.NumPinnedCalls;
-  Agg.NumWidenedPinned += S.NumWidenedPinned;
-  // The widening sub-scope is gated on a nonzero bound, so carry it
-  // into the aggregate (max, like simplify's `threads`) or a widened
-  // batch would report no widening totals at all.
-  Agg.Closure.WideningBound =
-      std::max(Agg.Closure.WideningBound, S.Closure.WideningBound);
-  Agg.Closure.WidenedClosures += S.Closure.WidenedClosures;
-  Agg.Closure.WidenedVars += S.Closure.WidenedVars;
-  Agg.SolverPropagations += S.SolverPropagations;
-  Agg.SolverChoices += S.SolverChoices;
-  Agg.SolverBacktracks += S.SolverBacktracks;
-  Agg.SolverSimplify.accumulate(S.SolverSimplify);
-  Agg.Sharding.accumulate(S.Sharding);
-  Agg.ClosureSeconds += S.ClosureSeconds;
-  Agg.ConstraintGenSeconds += S.ConstraintGenSeconds;
-  Agg.SolveSeconds += S.SolveSeconds;
-  Agg.ExtractSeconds += S.ExtractSeconds;
-}
-
-/// Pointwise sum. Note the per-program peaks (MaxRegions/MaxValues)
-/// become sums-of-peaks here; the true cross-item maxima are tracked
-/// separately by peakRun().
-void accumulateRun(interp::Stats &Agg, const interp::Stats &S) {
-  Agg.MaxRegions += S.MaxRegions;
-  Agg.TotalRegionAllocs += S.TotalRegionAllocs;
-  Agg.TotalValueAllocs += S.TotalValueAllocs;
-  Agg.MaxValues += S.MaxValues;
-  Agg.FinalValues += S.FinalValues;
-  Agg.Reads += S.Reads;
-  Agg.Writes += S.Writes;
-  Agg.Steps += S.Steps;
-  Agg.Time += S.Time;
-}
-
-void peakRun(interp::Stats &Peak, const interp::Stats &S) {
-  Peak.MaxRegions = std::max(Peak.MaxRegions, S.MaxRegions);
-  Peak.MaxValues = std::max(Peak.MaxValues, S.MaxValues);
-}
-
-} // namespace
-
 bool driver::collectBatchItems(const std::string &Dir,
                                std::vector<BatchItem> &Work,
                                std::string &Error) {
@@ -165,56 +113,38 @@ void BatchItemResult::recordMetrics(MetricsRegistry &Reg) const {
   recordPipelineMetrics(Reg, Stats, Analysis,
                         HasRuns ? &ConservativeStats : nullptr,
                         HasRuns ? &AflStats : nullptr, Ok);
-  if (!Ok && !Error.empty())
-    Reg.setText("error", Error);
 }
 
 void BatchResult::recordMetrics(MetricsRegistry &Reg) const {
+  // Peak RSS is process-wide (the whole batch shares one address space),
+  // so it only makes sense in the aggregate. Read it before the per-item
+  // registries below exist.
+  uint64_t PeakRssKb = readPeakRssKb();
   Reg.set("files", Items.size());
   Reg.set("ok", NumOk);
   Reg.set("failed", NumFailed);
   Reg.set("threads", Threads);
   Reg.addTime("wall_seconds", WallSeconds);
-  {
-    MetricScope Agg(Reg, "aggregate");
-    // Runs are emitted by hand below: in the aggregate interp stats the
-    // peak fields are sums-of-peaks, so the per-item schema's max_*
-    // names would be wrong for them.
-    recordPipelineMetrics(Reg, AggregateStats, AggregateAnalysis, nullptr,
-                          nullptr, allOk());
+  // One item's registry at a time: merged into the aggregate (counters
+  // and timers add, peaks keep the maximum), then copied under
+  // "programs" with its error text, so the batch holds one copy of the
+  // per-item metrics.
+  for (const BatchItemResult &Item : Items) {
+    MetricsRegistry One;
+    Item.recordMetrics(One);
     {
-      // Peak RSS is process-wide (the whole batch shares one address
-      // space), so it only makes sense here in the aggregate — emitted
-      // even for a --no-run batch, where analysis dominates memory.
-      MetricScope Runs(Reg, "runs");
-      Reg.set("peak_rss_kb", readPeakRssKb());
+      MetricScope Agg(Reg, "aggregate");
+      Reg.merge(One);
     }
-    if (HasRuns) {
-      MetricScope Runs(Reg, "runs");
-      auto Run = [&Reg](const char *Name, const interp::Stats &Sum,
-                        const interp::Stats &Peak) {
-        MetricScope Scope(Reg, Name);
-        Reg.set("max_regions", Peak.MaxRegions);
-        Reg.set("max_values", Peak.MaxValues);
-        Reg.set("total_max_regions", Sum.MaxRegions);
-        Reg.set("total_max_values", Sum.MaxValues);
-        Reg.set("region_allocs", Sum.TotalRegionAllocs);
-        Reg.set("value_allocs", Sum.TotalValueAllocs);
-        Reg.set("final_values", Sum.FinalValues);
-        Reg.set("steps", Sum.Steps);
-        Reg.set("memory_ops", Sum.Time);
-      };
-      Run("conservative", AggregateConservative, PeakConservative);
-      Run("afl", AggregateAfl, PeakAfl);
-    }
-  }
-  {
     MetricScope Programs(Reg, "programs");
-    for (const BatchItemResult &Item : Items) {
-      MetricScope S(Reg, Item.Name);
-      Item.recordMetrics(Reg);
-    }
+    MetricScope S(Reg, Item.Name);
+    Reg.merge(One);
+    if (!Item.Ok && !Item.Error.empty())
+      Reg.setText("error", Item.Error);
   }
+  MetricScope Agg(Reg, "aggregate");
+  MetricScope Runs(Reg, "runs");
+  Reg.set("peak_rss_kb", PeakRssKb);
 }
 
 BatchResult driver::runBatch(const std::vector<BatchItem> &Work,
@@ -257,20 +187,7 @@ BatchResult driver::runBatch(const std::vector<BatchItem> &Work,
   });
 
   Out.WallSeconds = Wall.seconds();
-  for (const BatchItemResult &Item : Out.Items) {
-    if (Item.Ok)
-      ++Out.NumOk;
-    else
-      ++Out.NumFailed;
-    Out.AggregateStats.accumulate(Item.Stats);
-    accumulateAnalysis(Out.AggregateAnalysis, Item.Analysis);
-    if (Item.HasRuns) {
-      Out.HasRuns = true;
-      accumulateRun(Out.AggregateConservative, Item.ConservativeStats);
-      accumulateRun(Out.AggregateAfl, Item.AflStats);
-      peakRun(Out.PeakConservative, Item.ConservativeStats);
-      peakRun(Out.PeakAfl, Item.AflStats);
-    }
-  }
+  for (const BatchItemResult &Item : Out.Items)
+    ++(Item.Ok ? Out.NumOk : Out.NumFailed);
   return Out;
 }

@@ -4,8 +4,8 @@
 /// Thread-pooled batch execution of the pipeline: run many independent
 /// programs concurrently (each on its own ASTContext — no shared mutable
 /// state between runs), keep a lightweight per-program summary, and
-/// aggregate the per-stage metrics. Backs `aflc --batch` and is the hot
-/// path a future service tier will sit on.
+/// report the aggregate as the merge of the per-program metrics. Backs
+/// `aflc --batch` and is the hot path a future service tier will sit on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,12 +46,12 @@ struct BatchItemResult {
   interp::Stats ConservativeStats;
   interp::Stats AflStats;
 
-  /// Emits this item's metrics subtree (same schema as
-  /// PipelineResult::recordMetrics).
+  /// Emits this item's pipeline metrics (same schema as
+  /// PipelineResult::recordMetrics; the batch adds the error text).
   void recordMetrics(MetricsRegistry &Reg) const;
 };
 
-/// The whole batch: per-item summaries (in input order) plus aggregates.
+/// The whole batch: per-item summaries, in input order.
 struct BatchResult {
   std::vector<BatchItemResult> Items;
   size_t NumOk = 0;
@@ -60,25 +60,13 @@ struct BatchResult {
   unsigned Threads = 0;
   /// End-to-end wall time of the batch (not the sum of per-item times).
   double WallSeconds = 0;
-  /// Pointwise sums over all items. In the aggregate interp stats the
-  /// per-program peak fields (MaxRegions/MaxValues) are *sums of peaks*
-  /// — reported as `total_*` in the metrics JSON; the true cross-item
-  /// maxima live in the Peak fields below and are what `max_*` means.
-  PipelineStats AggregateStats;
-  completion::AflStats AggregateAnalysis;
-  interp::Stats AggregateConservative;
-  interp::Stats AggregateAfl;
-  /// True maxima of MaxRegions/MaxValues across items (other fields
-  /// unused).
-  interp::Stats PeakConservative;
-  interp::Stats PeakAfl;
-  bool HasRuns = false;
 
   /// True when every item succeeded.
   bool allOk() const { return NumFailed == 0; }
 
   /// Emits "files"/"ok"/"failed"/"threads"/"wall_seconds", an
-  /// "aggregate" scope, and one scope per item under "programs".
+  /// "aggregate" scope that is the merge of every item's metrics (plus
+  /// the process's peak RSS), and one scope per item under "programs".
   void recordMetrics(MetricsRegistry &Reg) const;
 };
 

@@ -23,26 +23,6 @@ std::string PipelineResult::printAfl() const {
   return regions::printRegionProgram(*Prog, &AflC);
 }
 
-void PipelineStats::accumulate(const PipelineStats &Other) {
-  ParseSeconds += Other.ParseSeconds;
-  TypeInferSeconds += Other.TypeInferSeconds;
-  RegionInferSeconds += Other.RegionInferSeconds;
-  ConservativeSeconds += Other.ConservativeSeconds;
-  ClosureSeconds += Other.ClosureSeconds;
-  ConstraintGenSeconds += Other.ConstraintGenSeconds;
-  SolveSeconds += Other.SolveSeconds;
-  ExtractSeconds += Other.ExtractSeconds;
-  RunConservativeSeconds += Other.RunConservativeSeconds;
-  RunAflSeconds += Other.RunAflSeconds;
-  RunReferenceSeconds += Other.RunReferenceSeconds;
-  VmCompileSeconds += Other.VmCompileSeconds;
-  VmExecuteSeconds += Other.VmExecuteSeconds;
-  TotalSeconds += Other.TotalSeconds;
-  AstNodes += Other.AstNodes;
-  RegionNodes += Other.RegionNodes;
-  RegionVars += Other.RegionVars;
-}
-
 void driver::recordPipelineMetrics(MetricsRegistry &Reg,
                                    const PipelineStats &Stats,
                                    const completion::AflStats &Analysis,
@@ -55,7 +35,7 @@ void driver::recordPipelineMetrics(MetricsRegistry &Reg,
     Reg.set("region_nodes", Stats.RegionNodes);
     Reg.set("region_vars", Stats.RegionVars);
     Reg.set("closure_contexts", Analysis.NumContexts);
-    Reg.set("closures", Analysis.NumClosures);
+    Reg.set("closures", Analysis.Closure.NumClosures);
     Reg.set("closure_envs", Analysis.Closure.NumEnvs);
     Reg.set("closure_interned_sets", Analysis.Closure.InternedSets);
     Reg.set("state_vars", Analysis.NumStateVars);
@@ -82,7 +62,7 @@ void driver::recordPipelineMetrics(MetricsRegistry &Reg,
       Reg.set("converged", Analysis.Closure.Converged ? 1 : 0);
       if (Analysis.Closure.WideningBound > 0) {
         MetricScope Wide(Reg, "widening");
-        Reg.set("bound", Analysis.Closure.WideningBound);
+        Reg.setMax("bound", Analysis.Closure.WideningBound);
         Reg.set("widened_closures", Analysis.Closure.WidenedClosures);
         Reg.set("widened_vars", Analysis.Closure.WidenedVars);
         Reg.set("widened_pinned_calls", Analysis.NumWidenedPinned);
@@ -94,7 +74,7 @@ void driver::recordPipelineMetrics(MetricsRegistry &Reg,
       const constraints::ShardingStats &Shard = Analysis.Sharding;
       MetricScope Sharding(Reg, "sharding");
       Reg.set("shards", Shard.Shards);
-      Reg.set("largest_shard_constraints", Shard.LargestShardConstraints);
+      Reg.setMax("largest_shard_constraints", Shard.LargestShardConstraints);
       Reg.set("interned_shapes", Shard.InternedShapes);
       Reg.addTime("finalize_seconds", Shard.FinalizeSeconds);
     }
@@ -115,7 +95,7 @@ void driver::recordPipelineMetrics(MetricsRegistry &Reg,
         Reg.set("forced_triples_removed", Simp.ForcedTriplesRemoved);
         Reg.set("bools_forced", Simp.BoolsForced);
         Reg.set("components", Simp.Components);
-        Reg.set("largest_component", Simp.LargestComponent);
+        Reg.setMax("largest_component", Simp.LargestComponent);
         Reg.addTime("simplify_seconds", Simp.SimplifySeconds);
       }
     }
@@ -138,10 +118,10 @@ void driver::recordPipelineMetrics(MetricsRegistry &Reg,
       if (!S)
         return;
       MetricScope Scope(Reg, Name);
-      Reg.set("max_regions", S->MaxRegions);
+      Reg.setMax("max_regions", S->MaxRegions);
       Reg.set("region_allocs", S->TotalRegionAllocs);
       Reg.set("value_allocs", S->TotalValueAllocs);
-      Reg.set("max_values", S->MaxValues);
+      Reg.setMax("max_values", S->MaxValues);
       Reg.set("final_values", S->FinalValues);
       Reg.set("steps", S->Steps);
       Reg.set("memory_ops", S->Time);
@@ -158,11 +138,24 @@ void PipelineResult::recordMetrics(MetricsRegistry &Reg) const {
                         Afl.Ok ? &Afl.S : nullptr, Ok);
 }
 
-std::string driver::formatTimings(const PipelineStats &Stats,
-                                  const completion::AflStats &Analysis) {
+std::string driver::formatTimings(const MetricsRegistry &Reg,
+                                  std::string_view Scope) {
+  std::string Prefix(Scope);
+  if (!Prefix.empty())
+    Prefix += '/';
+  // Everything but the total lives under "stages".
+  auto Count = [&](const std::string &Path) {
+    return static_cast<unsigned long long>(
+        Reg.counter(Prefix + "stages/" + Path));
+  };
+  auto Time = [&](const std::string &Path) {
+    return Reg.timer(Prefix + "stages/" + Path);
+  };
+
   std::string Out;
   char Buf[128];
-  double Total = Stats.TotalSeconds > 0 ? Stats.TotalSeconds : 1;
+  double TotalSeconds = Reg.timer(Prefix + "total_seconds");
+  double Total = TotalSeconds > 0 ? TotalSeconds : 1;
   auto Row = [&](const char *Name, double Seconds) {
     std::snprintf(Buf, sizeof(Buf), "%-24s %10.3f ms %6.1f%%\n", Name,
                   Seconds * 1e3, Seconds / Total * 100);
@@ -170,65 +163,75 @@ std::string driver::formatTimings(const PipelineStats &Stats,
   };
   std::snprintf(Buf, sizeof(Buf), "%-24s %13s %7s\n", "stage", "time", "");
   Out += Buf;
-  Row("parse", Stats.ParseSeconds);
-  Row("type inference", Stats.TypeInferSeconds);
-  Row("region inference", Stats.RegionInferSeconds);
-  Row("conservative completion", Stats.ConservativeSeconds);
-  Row("closure analysis", Stats.ClosureSeconds);
-  Row("constraint generation", Stats.ConstraintGenSeconds);
-  Row("solve", Stats.SolveSeconds);
-  Row("extract", Stats.ExtractSeconds);
-  Row("run (conservative)", Stats.RunConservativeSeconds);
-  Row("run (A-F-L)", Stats.RunAflSeconds);
-  Row("run (reference)", Stats.RunReferenceSeconds);
-  Row("total", Stats.TotalSeconds);
-  if (Stats.VmCompileSeconds + Stats.VmExecuteSeconds > 0) {
+  static const char *const Stages[][2] = {
+      {"parse", "parse"},
+      {"type inference", "type_inference"},
+      {"region inference", "region_inference"},
+      {"conservative completion", "conservative_completion"},
+      {"closure analysis", "closure_analysis"},
+      {"constraint generation", "constraint_gen"},
+      {"solve", "solve"},
+      {"extract", "extract"},
+      {"run (conservative)", "run_conservative"},
+      {"run (A-F-L)", "run_afl"},
+      {"run (reference)", "run_reference"},
+  };
+  for (const auto &S : Stages)
+    Row(S[0], Time(std::string(S[1]) + "/wall_seconds"));
+  Row("total", TotalSeconds);
+  double VmCompile = Time("runs/vm/compile_seconds");
+  double VmExecute = Time("runs/vm/execute_seconds");
+  if (VmCompile + VmExecute > 0) {
     std::snprintf(Buf, sizeof(Buf),
                   "vm: compile %.3f ms, execute %.3f ms "
                   "(split of the two completed runs)\n",
-                  Stats.VmCompileSeconds * 1e3, Stats.VmExecuteSeconds * 1e3);
+                  VmCompile * 1e3, VmExecute * 1e3);
     Out += Buf;
   }
   std::snprintf(Buf, sizeof(Buf),
                 "solver: %llu propagations, %llu choices, %llu backtracks\n",
-                (unsigned long long)Analysis.SolverPropagations,
-                (unsigned long long)Analysis.SolverChoices,
-                (unsigned long long)Analysis.SolverBacktracks);
+                Count("solve/propagations"), Count("solve/choices"),
+                Count("solve/backtracks"));
   Out += Buf;
   std::snprintf(Buf, sizeof(Buf),
-                "closure: %s, %u pass(es), %zu contexts processed, "
-                "%zu enqueued\n",
-                Analysis.Closure.UsedWorklist ? "worklist" : "restart",
-                Analysis.Closure.Passes, Analysis.Closure.ProcessedContexts,
-                Analysis.Closure.Enqueued);
+                "closure: %s, %llu pass(es), %llu contexts processed, "
+                "%llu enqueued\n",
+                Count("closure_analysis/worklist") ? "worklist" : "restart",
+                Count("closure_analysis/passes"),
+                Count("closure_analysis/processed_contexts"),
+                Count("closure_analysis/enqueued"));
   Out += Buf;
-  if (Analysis.Closure.WideningBound > 0) {
+  if (Count("closure_analysis/widening/bound")) {
     std::snprintf(Buf, sizeof(Buf),
-                  "closure-widen: bound %u, %zu widened closure(s), "
-                  "%zu recolored var(s), %zu pinned call(s)\n",
-                  Analysis.Closure.WideningBound,
-                  Analysis.Closure.WidenedClosures, Analysis.Closure.WidenedVars,
-                  Analysis.NumWidenedPinned);
+                  "closure-widen: bound %llu, %llu widened closure(s), "
+                  "%llu recolored var(s), %llu pinned call(s)\n",
+                  Count("closure_analysis/widening/bound"),
+                  Count("closure_analysis/widening/widened_closures"),
+                  Count("closure_analysis/widening/widened_vars"),
+                  Count("closure_analysis/widening/widened_pinned_calls"));
     Out += Buf;
   }
-  const constraints::ShardingStats &Shard = Analysis.Sharding;
-  if (Shard.Shards) {
+  if (Count("constraint_gen/sharding/shards")) {
     std::snprintf(Buf, sizeof(Buf),
-                  "congen-shard: %zu shard(s) (largest %zu constraints), "
-                  "%zu interned shape(s), finalize %.3f ms\n",
-                  Shard.Shards, Shard.LargestShardConstraints,
-                  Shard.InternedShapes, Shard.FinalizeSeconds * 1e3);
+                  "congen-shard: %llu shard(s) (largest %llu constraints), "
+                  "%llu interned shape(s), finalize %.3f ms\n",
+                  Count("constraint_gen/sharding/shards"),
+                  Count("constraint_gen/sharding/largest_shard_constraints"),
+                  Count("constraint_gen/sharding/interned_shapes"),
+                  Time("constraint_gen/sharding/finalize_seconds") * 1e3);
     Out += Buf;
   }
-  const solver::SimplifyStats &Simp = Analysis.SolverSimplify;
-  if (Simp.ConstraintsBefore) {
+  if (Count("solve/simplify/constraints_before")) {
     std::snprintf(Buf, sizeof(Buf),
-                  "simplify: %zu vars -> %zu, %zu constraints -> %zu, "
-                  "%zu component(s) (largest %zu), %.3f ms\n",
-                  Simp.StateVarsBefore, Simp.StateVarsAfter,
-                  Simp.ConstraintsBefore, Simp.ConstraintsAfter,
-                  Simp.Components, Simp.LargestComponent,
-                  Simp.SimplifySeconds * 1e3);
+                  "simplify: %llu vars -> %llu, %llu constraints -> %llu, "
+                  "%llu component(s) (largest %llu), %.3f ms\n",
+                  Count("solve/simplify/state_vars_before"),
+                  Count("solve/simplify/state_vars_after"),
+                  Count("solve/simplify/constraints_before"),
+                  Count("solve/simplify/constraints_after"),
+                  Count("solve/simplify/components"),
+                  Count("solve/simplify/largest_component"),
+                  Time("solve/simplify/simplify_seconds") * 1e3);
     Out += Buf;
   }
   ArenaPool::Stats Pool = ArenaPool::global().stats();
@@ -242,7 +245,9 @@ std::string driver::formatTimings(const PipelineStats &Stats,
 }
 
 std::string PipelineResult::formatTimings() const {
-  return driver::formatTimings(Stats, Analysis);
+  MetricsRegistry Reg;
+  recordMetrics(Reg);
+  return driver::formatTimings(Reg, "");
 }
 
 void driver::recordMemoryMetrics(MetricsRegistry &Reg) {

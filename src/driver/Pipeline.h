@@ -86,9 +86,6 @@ struct PipelineStats {
            SolveSeconds + ExtractSeconds + RunConservativeSeconds +
            RunAflSeconds + RunReferenceSeconds;
   }
-
-  /// Pointwise sum (for batch aggregation).
-  void accumulate(const PipelineStats &Other);
 };
 
 /// Everything the pipeline produced. Check ok() before using the later
@@ -121,7 +118,7 @@ struct PipelineResult {
   void recordMetrics(MetricsRegistry &Reg) const;
 
   /// Renders the stage timings as a human-readable table (aflc
-  /// --timings).
+  /// --timings): recordMetrics, read back by driver::formatTimings.
   std::string formatTimings() const;
 };
 
@@ -151,18 +148,21 @@ PipelineResult runPipeline(std::string_view Source,
                            const PipelineOptions &Options = PipelineOptions());
 
 /// Shared emission routine behind PipelineResult::recordMetrics and the
-/// batch aggregates: writes the "ok"/"sizes"/"stages"/"runs" subtree into
-/// \p Reg under the current scope. \p ConsRun / \p AflRun may be null
-/// when the instrumented runs were skipped (or failed).
+/// batch items: writes the "ok"/"sizes"/"stages"/"runs" subtree into
+/// \p Reg under the current scope. Per-program maxima (the Table 2 peaks,
+/// the largest component and shard, the widening bound) are peak leaves,
+/// so a merge of several programs' subtrees keeps their maximum.
+/// \p ConsRun / \p AflRun may be null when the instrumented runs were
+/// skipped (or failed).
 void recordPipelineMetrics(MetricsRegistry &Reg, const PipelineStats &Stats,
                            const completion::AflStats &Analysis,
                            const interp::Stats *ConsRun,
                            const interp::Stats *AflRun, bool Ok);
 
-/// Renders a stage-timing table (shared by aflc --timings for single and
-/// batch runs).
-std::string formatTimings(const PipelineStats &Stats,
-                          const completion::AflStats &Analysis);
+/// Renders the stage-timing table of aflc --timings from the subtree
+/// recordPipelineMetrics wrote at \p Scope ('/'-separated path; "" is the
+/// root): one program's, or the merge of a batch's ("batch/aggregate").
+std::string formatTimings(const MetricsRegistry &Reg, std::string_view Scope);
 
 /// Emits the process-wide arena-pool counters as a "memory" scope under
 /// the current registry scope (schema in docs/OBSERVABILITY.md). Shared

@@ -167,8 +167,9 @@ public:
   VarId param() const { return Param; }
   const RExpr *body() const { return Body; }
 
-  /// Region variables in scope that the closure (body + type) actually
-  /// mentions; abstract region environments are restricted to this set.
+  /// Region variables in scope that the closure's type mentions, plus
+  /// what the closures created in its body capture from outside it;
+  /// abstract region environments are restricted to this set.
   const RegionSet &freeRegions() const { return FreeRegions; }
   RegionSet &freeRegionsMut() { return FreeRegions; }
 
@@ -227,7 +228,8 @@ public:
 
   /// Like RLambdaExpr::freeRegions, for the recursive function's body:
   /// region variables from *enclosing* scopes (formals excluded) that the
-  /// body mentions.
+  /// scheme and closure region mention or the closures created in the
+  /// body capture.
   const RegionSet &freeRegions() const { return FreeRegions; }
   RegionSet &freeRegionsMut() { return FreeRegions; }
 

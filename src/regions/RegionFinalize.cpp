@@ -95,6 +95,8 @@ public:
     resolveNode(Prog.nodeMut(Prog.Root->id()));
     RegionSet Globals = RegionSet::fromSorted(Prog.GlobalRegions);
     placeDomain(Prog.Root, Globals);
+    RegionSet FromGlobals;
+    captures(Prog.nodeMut(Prog.Root->id()), FromGlobals);
     walkOverall(Prog.nodeMut(Prog.Root->id()),
                 Prog.keepSet(std::move(Globals)));
   }
@@ -353,7 +355,57 @@ private:
   }
 
   //===------------------------------------------------------------------===//
-  // Pass 3: overall effects.
+  // Pass 3: closure captures.
+  //
+  // The closure analysis restricts a closure's environment to its
+  // function's free regions, and every closure created in the body is
+  // restricted from that environment (plus the regions bound in between).
+  // The function's type misses what an inner closure that neither
+  // escapes nor runs captures: nothing in the type of
+  // `fn x => let g = fn y => v in x end` names v's region.
+  //===------------------------------------------------------------------===//
+
+  /// Adds to \p Out what the closures created in \p N's in-domain subtree
+  /// capture from outside it: nested lambdas' free regions, and region
+  /// applications' callee free regions and actuals, minus the regions
+  /// bound on the way. Widens the nested functions first.
+  void captures(RExpr *N, RegionSet &Out) {
+    RegionSet Local;
+    RegionSet &Dst = N->boundRegions().empty() ? Out : Local;
+    if (isa<RLambdaExpr>(N)) {
+      auto *L = static_cast<RLambdaExpr *>(N);
+      captures(Prog.nodeMut(L->body()->id()), L->freeRegionsMut());
+      Dst.unionWith(L->freeRegions());
+    } else if (isa<RLetrecExpr>(N)) {
+      auto *L = static_cast<RLetrecExpr *>(N);
+      RExpr *FnBody = Prog.nodeMut(L->fnBody()->id());
+      RegionSet Captured;
+      captures(FnBody, Captured);
+      for (RegionVarId F : L->formals())
+        Captured.erase(F);
+      // A lambda in the body that calls L itself re-creates L's closure
+      // from its own environment, so it needs the widened set: walk once
+      // more when L grew.
+      if (L->freeRegionsMut().unionWith(Captured)) {
+        Captured.clear();
+        captures(FnBody, Captured);
+      }
+    } else if (const auto *RA = dyn_cast<RRegAppExpr>(N)) {
+      Dst.unionWith(Prog.varInfo(RA->fn()).Letrec->freeRegions());
+      for (RegionVarId R : RA->actuals())
+        Dst.insert(R);
+    }
+    for (const RExpr *C : Children(N))
+      captures(Prog.nodeMut(C->id()), Dst);
+    if (&Dst == &Local) {
+      for (RegionVarId R : N->boundRegions())
+        Local.erase(R);
+      Out.unionWith(Local);
+    }
+  }
+
+  //===------------------------------------------------------------------===//
+  // Pass 4: overall effects.
   //===------------------------------------------------------------------===//
 
   /// Sets the overall effect of \p N's subtree. \p Ambient is shared by

@@ -8,7 +8,8 @@
 ///     placement domain (program top level / each function body);
 ///   * computes per-node overall effects (§4.2);
 ///   * computes the free-region sets used to restrict abstract region
-///     environments in the closure analysis.
+///     environments in the closure analysis (a function's type plus what
+///     the closures created in its body capture).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,5 +1,6 @@
 #include "support/Metrics.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -31,7 +32,7 @@ uint64_t afl::readPeakRssKb() {
 //===----------------------------------------------------------------------===//
 
 struct MetricsRegistry::Node {
-  enum class Kind { Scope, Counter, Timer, Text };
+  enum class Kind { Scope, Counter, Peak, Timer, Text };
 
   std::string Name;
   Kind NodeKind = Kind::Scope;
@@ -90,6 +91,11 @@ void MetricsRegistry::set(std::string_view Name, uint64_t Value) {
   Stack.back()->child(Name, Node::Kind::Counter)->Count = Value;
 }
 
+void MetricsRegistry::setMax(std::string_view Name, uint64_t Value) {
+  Node *N = Stack.back()->child(Name, Node::Kind::Peak);
+  N->Count = std::max(N->Count, Value);
+}
+
 void MetricsRegistry::addTime(std::string_view Name, double Seconds) {
   Stack.back()->child(Name, Node::Kind::Timer)->Seconds += Seconds;
 }
@@ -114,7 +120,10 @@ MetricsRegistry::find(std::string_view Path) const {
 
 uint64_t MetricsRegistry::counter(std::string_view Path) const {
   const Node *N = find(Path);
-  return N && N->NodeKind == Node::Kind::Counter ? N->Count : 0;
+  return N && (N->NodeKind == Node::Kind::Counter ||
+               N->NodeKind == Node::Kind::Peak)
+             ? N->Count
+             : 0;
 }
 
 double MetricsRegistry::timer(std::string_view Path) const {
@@ -132,12 +141,14 @@ bool MetricsRegistry::has(std::string_view Path) const {
 }
 
 void MetricsRegistry::merge(const MetricsRegistry &Other) {
-  // Recursive pointwise sum; scopes are created on demand.
+  // Recursive pointwise sum (max for peaks); scopes are created on demand.
   struct Merger {
     static void run(Node *Dst, const Node *Src) {
       for (const auto &C : Src->Children) {
         Node *D = Dst->child(C->Name, C->NodeKind);
-        D->Count += C->Count;
+        D->Count = C->NodeKind == Node::Kind::Peak
+                       ? std::max(D->Count, C->Count)
+                       : D->Count + C->Count;
         D->Seconds += C->Seconds;
         // Text has no meaningful sum; first non-empty value wins.
         if (D->Text.empty())
@@ -146,7 +157,7 @@ void MetricsRegistry::merge(const MetricsRegistry &Other) {
       }
     }
   };
-  Merger::run(Root.get(), Other.Root.get());
+  Merger::run(Stack.back(), Other.Root.get());
 }
 
 //===----------------------------------------------------------------------===//
@@ -234,6 +245,7 @@ std::string MetricsRegistry::json(bool Pretty) const {
           scope(*C, Depth + 1);
           break;
         case Node::Kind::Counter:
+        case Node::Kind::Peak:
           Out += std::to_string(C->Count);
           break;
         case Node::Kind::Timer:

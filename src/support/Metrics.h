@@ -53,10 +53,11 @@ private:
 /// way so the schema stays stable.
 uint64_t readPeakRssKb();
 
-/// A tree of named metrics. Leaves are either integral *counters* or
-/// floating-point *timers* (seconds; by convention their names end in
-/// "_seconds"). Interior nodes are *scopes*. Insertion order is
-/// preserved everywhere, so the JSON rendering is stable across runs.
+/// A tree of named metrics. Leaves are integral *counters*, integral
+/// *peaks* (a counter that merges by maximum), floating-point *timers*
+/// (seconds; by convention their names end in "_seconds") or text.
+/// Interior nodes are *scopes*. Insertion order is preserved everywhere,
+/// so the JSON rendering is stable across runs.
 ///
 /// Not thread-safe: concurrent producers each fill their own registry
 /// and the results are combined with merge() (see driver/BatchRunner).
@@ -85,6 +86,10 @@ public:
   void add(std::string_view Name, uint64_t Delta);
   /// Sets counter \p Name to \p Value.
   void set(std::string_view Name, uint64_t Value);
+  /// Raises peak \p Name to at least \p Value (created at zero on first
+  /// use). A peak reads and renders like a counter; merge() keeps the
+  /// larger of two peaks instead of their sum.
+  void setMax(std::string_view Name, uint64_t Value);
   /// Adds \p Seconds to timer \p Name (created at zero on first use).
   void addTime(std::string_view Name, double Seconds);
   /// Sets text leaf \p Name to \p Value (rendered as a JSON string;
@@ -95,8 +100,8 @@ public:
   // Consumers (addressed by '/'-separated path from the root)
   //===------------------------------------------------------------------===//
 
-  /// Value of the counter at \p Path ("pipeline/solve/propagations"),
-  /// or 0 if absent.
+  /// Value of the counter or peak at \p Path
+  /// ("pipeline/solve/propagations"), or 0 if absent.
   uint64_t counter(std::string_view Path) const;
   /// Value of the timer at \p Path, or 0.0 if absent.
   double timer(std::string_view Path) const;
@@ -105,9 +110,11 @@ public:
   /// True if any metric or scope exists at \p Path.
   bool has(std::string_view Path) const;
 
-  /// Adds every counter and timer of \p Other into this registry,
-  /// creating scopes as needed (pointwise sum; used for batch
-  /// aggregation).
+  /// Merges the whole of \p Other into the current scope, creating
+  /// scopes as needed: counters and timers add, peaks keep the larger
+  /// value, and a text leaf keeps the first non-empty value. Merging into
+  /// an empty scope copies \p Other. The batch aggregate is the merge of
+  /// its items' metrics (driver/BatchRunner).
   void merge(const MetricsRegistry &Other);
 
   //===------------------------------------------------------------------===//

@@ -4,12 +4,15 @@
 
 #include "driver/BatchRunner.h"
 #include "programs/Corpus.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 
 #include <cstdlib>
 #include <sys/stat.h>
@@ -342,12 +345,84 @@ TEST(BatchRunner, AggregatesSumPerItemStats) {
     ValueAllocs += Item.AflStats.TotalValueAllocs;
     Cpu += Item.Stats.TotalSeconds;
   }
-  EXPECT_EQ(B.AggregateAnalysis.SolverPropagations, Props);
-  EXPECT_EQ(B.AggregateAfl.TotalValueAllocs, ValueAllocs);
-  EXPECT_DOUBLE_EQ(B.AggregateStats.TotalSeconds, Cpu);
-  EXPECT_TRUE(B.HasRuns);
+  MetricsRegistry Reg;
+  B.recordMetrics(Reg);
+  EXPECT_EQ(Reg.counter("aggregate/stages/solve/propagations"), Props);
+  EXPECT_EQ(Reg.counter("aggregate/runs/afl/value_allocs"), ValueAllocs);
+  EXPECT_DOUBLE_EQ(Reg.timer("aggregate/total_seconds"), Cpu);
+  EXPECT_EQ(Reg.counter("aggregate/ok"), B.NumOk);
   EXPECT_GT(B.WallSeconds, 0.0);
   EXPECT_GE(B.Threads, 1u);
+}
+
+/// Flattens a parsed metrics scope into its leaves, keyed by
+/// '/'-separated path.
+void flattenLeaves(const json::Value &Scope, const std::string &Prefix,
+                   std::map<std::string, const json::Value *> &Out) {
+  for (const auto &[Key, V] : Scope.members()) {
+    std::string Path = Prefix.empty() ? Key : Prefix + "/" + Key;
+    if (V.isObject())
+      flattenLeaves(V, Path, Out);
+    else
+      Out[Path] = &V;
+  }
+}
+
+TEST(BatchRunner, AggregateIsTheMergeOfItsPrograms) {
+  // Restart mode: `worklist` is 0 and each program takes several passes.
+  // Walk every leaf instead of listing them: each aggregate counter and
+  // timer is the sum over the programs, each per-program peak their
+  // maximum, and no leaf a program reports is missing.
+  driver::PipelineOptions Options;
+  Options.ClosureOptions.UseWorklist = false;
+  driver::BatchResult B = driver::runBatch(corpusWork(), Options, 2);
+  ASSERT_TRUE(B.allOk());
+  MetricsRegistry Reg;
+  B.recordMetrics(Reg);
+  json::Value Root;
+  std::string Error;
+  ASSERT_TRUE(json::parseJson(Reg.json(), Root, Error)) << Error;
+  ASSERT_NE(Root.find("aggregate"), nullptr);
+  ASSERT_NE(Root.find("programs"), nullptr);
+
+  std::map<std::string, const json::Value *> Agg;
+  flattenLeaves(*Root.find("aggregate"), "", Agg);
+  std::vector<std::map<std::string, const json::Value *>> Programs;
+  for (const auto &[Name, P] : Root.find("programs")->members())
+    flattenLeaves(P, "", Programs.emplace_back());
+  ASSERT_EQ(Programs.size(), B.Items.size());
+
+  const std::set<std::string> Peaks = {"max_regions", "max_values",
+                                       "largest_component",
+                                       "largest_shard_constraints", "bound"};
+  for (const auto &[Path, V] : Agg) {
+    if (Path == "runs/peak_rss_kb")
+      continue; // process-wide: the aggregate's own leaf
+    ASSERT_TRUE(V->isNumber()) << Path;
+    bool Peak = Peaks.count(Path.substr(Path.rfind('/') + 1)) != 0;
+    int64_t Sum = 0, Max = 0;
+    double Seconds = 0;
+    for (const auto &P : Programs) {
+      auto It = P.find(Path);
+      if (It == P.end())
+        continue;
+      Sum += It->second->asInt();
+      Max = std::max(Max, It->second->asInt());
+      Seconds += It->second->asDouble();
+    }
+    if (V->isInt())
+      EXPECT_EQ(V->asInt(), Peak ? Max : Sum) << Path;
+    else // timers render with nine decimals
+      EXPECT_NEAR(V->asDouble(), Seconds, 1e-9 * (Programs.size() + 1))
+          << Path;
+  }
+  for (const auto &P : Programs)
+    for (const auto &[Path, V] : P)
+      EXPECT_TRUE(Agg.count(Path)) << Path;
+
+  EXPECT_EQ(Reg.counter("aggregate/stages/closure_analysis/worklist"), 0u);
+  EXPECT_GT(Reg.counter("aggregate/stages/closure_analysis/passes"), 0u);
+  EXPECT_GT(Reg.counter("aggregate/sizes/closure_envs"), 0u);
 }
 
 TEST(BatchRunner, MetricsEmissionIsValidAndComplete) {
@@ -394,6 +469,9 @@ TEST(BatchRunner, LoadErrorItemFailsWithoutAbortingBatch) {
   EXPECT_EQ(Reg.counter("programs/missing.afl/ok"), 0u);
   EXPECT_EQ(Reg.text("programs/missing.afl/error"),
             "cannot open 'missing.afl'");
+  // The error text stays with its program: the aggregate has none.
+  EXPECT_EQ(Reg.counter("aggregate/ok"), 2u);
+  EXPECT_FALSE(Reg.has("aggregate/error"));
 }
 
 TEST(BatchRunner, AggregateRunsReportTrueMaximaAndSums) {
@@ -407,28 +485,22 @@ TEST(BatchRunner, AggregateRunsReportTrueMaximaAndSums) {
   };
   driver::BatchResult B = driver::runBatch(Work, driver::PipelineOptions(), 2);
   ASSERT_TRUE(B.allOk());
-  ASSERT_TRUE(B.HasRuns);
 
-  uint64_t PeakAfl = 0, SumAfl = 0, PeakCons = 0, SumCons = 0;
+  uint64_t PeakAfl = 0, SumAfl = 0, PeakCons = 0, Allocs = 0;
   for (const driver::BatchItemResult &Item : B.Items) {
     PeakAfl = std::max(PeakAfl, Item.AflStats.MaxValues);
     SumAfl += Item.AflStats.MaxValues;
     PeakCons = std::max(PeakCons, Item.ConservativeStats.MaxValues);
-    SumCons += Item.ConservativeStats.MaxValues;
+    Allocs += Item.AflStats.TotalValueAllocs;
   }
   ASSERT_LT(PeakAfl, SumAfl); // both items contribute, so max != sum
-  EXPECT_EQ(B.PeakAfl.MaxValues, PeakAfl);
-  EXPECT_EQ(B.AggregateAfl.MaxValues, SumAfl);
-  EXPECT_EQ(B.PeakConservative.MaxValues, PeakCons);
-  EXPECT_EQ(B.AggregateConservative.MaxValues, SumCons);
 
   MetricsRegistry Reg;
   B.recordMetrics(Reg);
   EXPECT_EQ(Reg.counter("aggregate/runs/afl/max_values"), PeakAfl);
-  EXPECT_EQ(Reg.counter("aggregate/runs/afl/total_max_values"), SumAfl);
   EXPECT_EQ(Reg.counter("aggregate/runs/conservative/max_values"), PeakCons);
-  EXPECT_EQ(Reg.counter("aggregate/runs/conservative/total_max_values"),
-            SumCons);
+  EXPECT_EQ(Reg.counter("aggregate/runs/afl/value_allocs"), Allocs);
+  EXPECT_FALSE(Reg.has("aggregate/runs/afl/total_max_values"));
 }
 
 TEST(BatchRunner, EmptyBatch) {
@@ -444,9 +516,15 @@ TEST(BatchRunner, RespectsSkipRuns) {
   Options.SkipRuns = true;
   driver::BatchResult B = driver::runBatch(corpusWork(), Options, 2);
   EXPECT_EQ(B.NumOk, B.Items.size());
-  EXPECT_FALSE(B.HasRuns);
-  for (const driver::BatchItemResult &Item : B.Items)
+  for (const driver::BatchItemResult &Item : B.Items) {
+    EXPECT_FALSE(Item.HasRuns);
     EXPECT_TRUE(Item.ResultText.empty());
+  }
+  MetricsRegistry Reg;
+  B.recordMetrics(Reg);
+  EXPECT_FALSE(Reg.has("aggregate/runs/afl"));
+  EXPECT_FALSE(Reg.has("aggregate/runs/conservative"));
+  EXPECT_TRUE(Reg.has("aggregate/runs/peak_rss_kb"));
 }
 
 } // namespace

@@ -3,6 +3,7 @@
 
 #include "ast/ASTContext.h"
 #include "closure/ClosureAnalysis.h"
+#include "driver/Pipeline.h"
 #include "parser/Parser.h"
 #include "programs/Corpus.h"
 #include "regions/RegionInference.h"
@@ -216,6 +217,52 @@ TEST(ClosureAnalysis, RestartCapReportsFailure) {
   EXPECT_FALSE(CA.converged());
   EXPECT_NE(CA.error().find("failed to stabilize"), std::string::npos)
       << CA.error();
+}
+
+TEST(ClosureAnalysis, ClosureEnvironmentsMapTheirFreeRegions) {
+  // A closure created in a function body that never escapes and never
+  // runs captures regions the function's type does not name (v1's region
+  // below). Every closure environment must still map each free region of
+  // its function: restricting to an unmapped region aborted Debug builds,
+  // and once the escape pool routed such a closure into an application,
+  // an optimized build read another variable's color.
+  const char *Programs[] = {
+      "let v1 = 3 in (fn x => (let g = (fn y => v1) in x end)) 5 end",
+      "let v1 = 3 in let h = (fn x => (let g = (fn y => v1 + y) in "
+      "let p = (g, 1) in x end end)) 5 in (fst ((fn z => z + 1), 2)) 7 "
+      "end end",
+      "let v1 = 3 in let h = (fn x => (let g = (fn y => v1 + y) in "
+      "let p = g :: nil in x end end)) 5 in "
+      "(hd ((fn z => z + 1) :: nil)) 7 end end",
+      // A lambda in a recursive body re-creates the function's closure.
+      "let v1 = 3 in letrec g x = (let d = (fn y => v1) in "
+      "if x <= 0 then 0 else (fn z => g z) (x - 1) end) in g 3 end end",
+      // Generated program g0047 (afl_bench gen --seed 1 --depth 9).
+      "(let v0 = nil in (let v1 = (if false then (((fn x4 => x4)) ((((fst "
+      "(48, 57)) * (let v3 = 18 in (fst (6, 62)) end)) div 1)) mod 7) else "
+      "(let l2 = v0 in if null l2 then 8 else hd l2 end)) in (null (((fn "
+      "x11 => (let v12 = (fn x13 => v1) in x11 end))) ((let w7 = ((fst "
+      "(let v8 = (fst (v1, v1)) in (let v9 = fn a10 => a10 + 6 in (38, 21) "
+      "end) end))) mod 97 in letrec k5 q6 = if fst q6 <= 0 then snd q6 "
+      "else k5 (fst q6 - 1, snd q6) in k5 (w7, w7) end end)) :: nil)) end) "
+      "end)",
+  };
+  for (const char *Source : Programs) {
+    Analyzed A = analyze(Source);
+    ASSERT_TRUE(A.CA->stats().Converged) << Source;
+    for (AbsClosureId Id = 0; Id != A.CA->numClosures(); ++Id) {
+      const AbsClosure &C = A.CA->closure(Id);
+      const RegionSet &Free =
+          isa<RLambdaExpr>(C.Fun) ? cast<RLambdaExpr>(C.Fun)->freeRegions()
+                                  : cast<RLetrecExpr>(C.Fun)->freeRegions();
+      for (RegionVarId R : Free)
+        EXPECT_TRUE(A.CA->envs().maps(C.Env, R)) << Source << ": r" << R;
+    }
+    driver::PipelineResult R = driver::runPipeline(Source);
+    ASSERT_TRUE(R.ok()) << Source << "\n" << R.Diags.str();
+    EXPECT_EQ(R.Afl.ResultText, R.Reference.ResultText) << Source;
+    EXPECT_EQ(R.Conservative.ResultText, R.Reference.ResultText) << Source;
+  }
 }
 
 TEST(ClosureAnalysis, UnknownContextIsEmptySet) {

@@ -108,7 +108,7 @@ TEST(Afl, StatsPopulated) {
   completion::AflStats Stats;
   completion::aflCompletion(*P, &Stats);
   EXPECT_TRUE(Stats.Solved);
-  EXPECT_GE(Stats.ClosurePasses, 1u);
+  EXPECT_GE(Stats.Closure.Passes, 1u);
   EXPECT_GT(Stats.NumContexts, 0u);
   EXPECT_GT(Stats.NumStateVars, 0u);
   EXPECT_GT(Stats.NumBoolVars, 0u);

@@ -131,6 +131,53 @@ TEST(Metrics, MergeSumsPointwise) {
   EXPECT_EQ(A.counter("only_in_b"), 9u);
 }
 
+TEST(Metrics, PeaksMergeByMaximum) {
+  MetricsRegistry A;
+  A.setMax("max_values", 7);
+  A.setMax("max_values", 3); // a peak only rises
+  A.add("steps", 10);
+  MetricsRegistry B;
+  B.setMax("max_values", 5);
+  B.add("steps", 4);
+  B.setMax("only_in_b", 2);
+  A.merge(B);
+  EXPECT_EQ(A.counter("max_values"), 7u);
+  EXPECT_EQ(A.counter("steps"), 14u);
+  EXPECT_EQ(A.counter("only_in_b"), 2u);
+  // A peak renders like a counter.
+  EXPECT_EQ(A.json(/*Pretty=*/false),
+            "{\"max_values\":7,\"steps\":14,\"only_in_b\":2}");
+}
+
+TEST(Metrics, MergeLandsInTheCurrentScope) {
+  MetricsRegistry Item;
+  Item.add("ok", 1);
+  Item.push("stage");
+  Item.addTime("wall_seconds", 0.25);
+  Item.pop();
+  Item.setMax("peak", 4);
+
+  MetricsRegistry Batch;
+  {
+    MetricScope S(Batch, "aggregate");
+    Batch.merge(Item);
+    Batch.merge(Item);
+  }
+  {
+    // Into an empty scope, a merge is a copy in the same key order.
+    MetricScope S(Batch, "copy");
+    Batch.merge(Item);
+  }
+  EXPECT_EQ(Batch.counter("aggregate/ok"), 2u);
+  EXPECT_DOUBLE_EQ(Batch.timer("aggregate/stage/wall_seconds"), 0.5);
+  EXPECT_EQ(Batch.counter("aggregate/peak"), 4u);
+  EXPECT_FALSE(Batch.has("ok"));
+  EXPECT_EQ(Batch.json(/*Pretty=*/false),
+            "{\"aggregate\":{\"ok\":2,\"stage\":{\"wall_seconds\":"
+            "0.500000000},\"peak\":4},\"copy\":" +
+                Item.json(/*Pretty=*/false) + "}");
+}
+
 TEST(Metrics, JsonShapeAndOrder) {
   MetricsRegistry Reg;
   Reg.set("version", 1);

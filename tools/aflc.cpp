@@ -73,7 +73,7 @@ namespace {
 
 /// Version of the `--metrics` JSON schema: bumped whenever a key is
 /// removed or changes meaning (docs/OBSERVABILITY.md).
-constexpr unsigned MetricsSchemaVersion = 3;
+constexpr unsigned MetricsSchemaVersion = 4;
 
 void usage() {
   std::fprintf(
@@ -202,7 +202,9 @@ int runBatchMode(const std::string &Dir, const driver::PipelineOptions &Options,
 
   std::printf("%-32s %6s %12s %10s  %s\n", "program", "status", "max values",
               "time", "result");
+  double CpuSeconds = 0;
   for (const driver::BatchItemResult &Item : Batch.Items) {
+    CpuSeconds += Item.Stats.TotalSeconds;
     if (Item.Ok)
       std::printf("%-32s %6s %12llu %8.1fms  %s\n", Item.Name.c_str(), "ok",
                   (unsigned long long)Item.AflStats.MaxValues,
@@ -219,28 +221,24 @@ int runBatchMode(const std::string &Dir, const driver::PipelineOptions &Options,
   std::printf("batch: %zu/%zu ok on %u thread(s), wall %.1fms "
               "(cpu %.1fms, speedup %.2fx)\n",
               Batch.NumOk, Batch.Items.size(), Batch.Threads,
-              Batch.WallSeconds * 1e3,
-              Batch.AggregateStats.TotalSeconds * 1e3,
-              Batch.WallSeconds > 0
-                  ? Batch.AggregateStats.TotalSeconds / Batch.WallSeconds
-                  : 0.0);
+              Batch.WallSeconds * 1e3, CpuSeconds * 1e3,
+              Batch.WallSeconds > 0 ? CpuSeconds / Batch.WallSeconds : 0.0);
+  if (!Timings && !Metrics)
+    return Batch.allOk() ? 0 : 1;
 
+  // --timings renders the same aggregate the JSON reports.
+  MetricsRegistry Reg;
+  Reg.set("aflc_metrics_version", MetricsSchemaVersion);
+  {
+    MetricScope S(Reg, "batch");
+    Batch.recordMetrics(Reg);
+  }
   if (Timings) {
     std::printf("\naggregate stage breakdown (cpu time over %zu file(s)):\n",
                 Batch.Items.size());
-    std::fputs(driver::formatTimings(Batch.AggregateStats,
-                                     Batch.AggregateAnalysis)
-                   .c_str(),
-               stdout);
+    std::fputs(driver::formatTimings(Reg, "batch/aggregate").c_str(), stdout);
   }
-
   if (Metrics) {
-    MetricsRegistry Reg;
-    Reg.set("aflc_metrics_version", MetricsSchemaVersion);
-    {
-      MetricScope S(Reg, "batch");
-      Batch.recordMetrics(Reg);
-    }
     driver::recordMemoryMetrics(Reg);
     if (!emitJson(MetricsFile, Reg.json()))
       return 1;

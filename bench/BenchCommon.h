@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 
 namespace afl {
@@ -71,33 +72,10 @@ inline void printFigureHeader(const char *Figure, const char *Workload) {
   std::printf("series,time,values\n");
 }
 
-/// Prints where the analysis time went for one pipeline run, one stage
-/// per "# stage-time" comment line (consumed by scripts the same way as
-/// the "# ..." summary lines; see docs/OBSERVABILITY.md).
-inline void printStageBreakdown(const driver::PipelineResult &R) {
-  const driver::PipelineStats &S = R.Stats;
-  auto Line = [](const char *Stage, double Seconds) {
-    std::printf("# stage-time %-22s %10.3f ms\n", Stage, Seconds * 1e3);
-  };
-  Line("parse", S.ParseSeconds);
-  Line("type-inference", S.TypeInferSeconds);
-  Line("region-inference", S.RegionInferSeconds);
-  Line("closure-analysis", S.ClosureSeconds);
-  Line("constraint-gen", S.ConstraintGenSeconds);
-  Line("solve", S.SolveSeconds);
-  Line("run-conservative", S.RunConservativeSeconds);
-  Line("run-afl", S.RunAflSeconds);
-  Line("total", S.TotalSeconds);
-  std::printf("# solver-work propagations=%llu choices=%llu "
-              "backtracks=%llu\n",
-              static_cast<unsigned long long>(R.Analysis.SolverPropagations),
-              static_cast<unsigned long long>(R.Analysis.SolverChoices),
-              static_cast<unsigned long long>(R.Analysis.SolverBacktracks));
-}
-
 /// Prints the summary comparison the figure captions quote, plus the
 /// space-time products (integral of residency over time) and the
-/// per-stage analysis time breakdown.
+/// run's `--timings` table, each line commented out with "# " so the
+/// figure plots skip it (docs/OBSERVABILITY.md).
 inline void printMaxSummary(const driver::PipelineResult &R) {
   std::printf("# Tofte/Talpin max = %llu, A-F-L max = %llu\n",
               static_cast<unsigned long long>(R.Conservative.S.MaxValues),
@@ -108,7 +86,9 @@ inline void printMaxSummary(const driver::PipelineResult &R) {
               "A-F-L %llu (mean %.1f)\n",
               static_cast<unsigned long long>(TT.SpaceTime), TT.Mean,
               static_cast<unsigned long long>(AFL.SpaceTime), AFL.Mean);
-  printStageBreakdown(R);
+  std::istringstream Table(R.formatTimings());
+  for (std::string Line; std::getline(Table, Line);)
+    std::printf("# %s\n", Line.c_str());
 }
 
 /// Renders the two memory-over-time curves as an ASCII plot, the

@@ -49,54 +49,52 @@ Completion completion::aflCompletion(const RegionProgram &Prog,
                                      AflStats *Stats,
                                      const constraints::GenOptions &Options,
                                      const solver::SolveOptions &Solve,
-                                     const closure::ClosureOptions &ClosureOpts) {
+                                     const closure::ClosureOptions &ClosureOpts,
+                                     solver::ShardSolutionCache *Cache,
+                                     solver::SolveResult *Sol) {
+  AflStats LocalStats;
+  AflStats &S = Stats ? *Stats : LocalStats;
+  S = AflStats();
+  solver::SolveResult LocalSol;
+  solver::SolveResult &R = Sol ? *Sol : LocalSol;
+  R = solver::SolveResult();
+
   Stopwatch Watch;
   closure::ClosureAnalysis CA(Prog, ClosureOpts);
   bool Converged = CA.run();
-  double ClosureSeconds = Watch.seconds();
+  S.ClosureSeconds = Watch.seconds();
+  S.Closure = CA.stats();
 
-  if (!Converged) {
-    // The fixpoint hit its stabilization cap: the analysis tables are an
-    // unsound snapshot, so fall back to the conservative completion.
-    if (Stats) {
-      Stats->ClosureSeconds = ClosureSeconds;
-      Stats->Closure = CA.stats();
-      Stats->Solved = false;
-    }
+  // A fixpoint that hit its stabilization cap leaves an unsound snapshot
+  // of the analysis tables: fall back to the conservative completion.
+  if (!Converged)
     return conservativeCompletion(Prog);
-  }
 
   Watch.reset();
   constraints::GenResult Gen =
       constraints::generateConstraints(Prog, CA, Options);
-  double GenSeconds = Watch.seconds();
-  solver::SolveResult Sol = solver::solve(Gen.Sys, Solve);
-  Watch.reset();
+  S.ConstraintGenSeconds = Watch.seconds();
+  R = Cache ? solver::solveCached(Gen.Sys, Solve, *Cache)
+            : solver::solve(Gen.Sys, Solve);
 
-  if (Stats) {
-    Stats->ClosureSeconds = ClosureSeconds;
-    Stats->ConstraintGenSeconds = GenSeconds;
-    Stats->SolveSeconds = Sol.Seconds;
-    Stats->Closure = CA.stats();
-    Stats->NumContexts = Gen.NumContexts;
-    Stats->NumStateVars = Gen.Sys.numStateVars();
-    Stats->NumBoolVars = Gen.Sys.numBoolVars();
-    Stats->NumConstraints = Gen.Sys.numConstraints();
-    Stats->NumPinnedCalls = Gen.NumPinnedCalls;
-    Stats->NumWidenedPinned = Gen.NumWidenedPinned;
-    Stats->SolverPropagations = Sol.Propagations;
-    Stats->SolverChoices = Sol.Choices;
-    Stats->SolverBacktracks = Sol.Backtracks;
-    Stats->SolverSimplify = Sol.Simplify;
-    Stats->Sharding = Gen.Sharding;
-    Stats->Solved = Sol.Sat;
-  }
-
-  if (!Sol.Sat)
+  S.SolveSeconds = R.Seconds;
+  S.NumContexts = Gen.NumContexts;
+  S.NumStateVars = Gen.Sys.numStateVars();
+  S.NumBoolVars = Gen.Sys.numBoolVars();
+  S.NumConstraints = Gen.Sys.numConstraints();
+  S.NumPinnedCalls = Gen.NumPinnedCalls;
+  S.NumWidenedPinned = Gen.NumWidenedPinned;
+  S.SolverPropagations = R.Propagations;
+  S.SolverChoices = R.Choices;
+  S.SolverBacktracks = R.Backtracks;
+  S.SolverSimplify = R.Simplify;
+  S.Sharding = Gen.Sharding;
+  S.Solved = R.Sat;
+  if (!R.Sat)
     return conservativeCompletion(Prog);
 
-  Completion Out = extractCompletion(Gen, Sol);
-  if (Stats)
-    Stats->ExtractSeconds = Watch.seconds();
+  Watch.reset();
+  Completion Out = extractCompletion(Gen, R);
+  S.ExtractSeconds = Watch.seconds();
   return Out;
 }

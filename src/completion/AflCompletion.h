@@ -3,7 +3,8 @@
 /// \file
 /// The A-F-L completion: runs the extended closure analysis, generates
 /// the §4 constraint system, solves it with the late-alloc/early-free
-/// choice strategy, and extracts the completion operations.
+/// choice strategy, and extracts the completion operations: the one
+/// driver of the analysis half, for the pipeline and the server alike.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,28 +55,33 @@ struct AflStats {
   bool Solved = false;
 };
 
+/// Extracts the completion operations chosen by a satisfiable solution:
+/// every true choice boolean becomes an op at its node, sorted in
+/// ascending region order per point (the sequentialization order used by
+/// constraint generation). aflCompletion uses it; perfbench's traced
+/// replay calls it directly.
+regions::Completion extractCompletion(const constraints::GenResult &Gen,
+                                      const solver::SolveResult &Sol);
+
 /// Computes the A-F-L completion for \p Prog. On solver failure — or if
 /// the closure analysis fails to stabilize within its configured caps —
 /// returns the conservative completion (and reports Solved = false).
 /// \p Options selects ablated variants (see constraints::GenOptions);
 /// \p Solve configures the solver's preprocessing layer (see
 /// solver::SolveOptions); \p ClosureOpts selects the closure fixpoint
-/// mode and caps (see closure::ClosureOptions).
-/// Extracts the completion operations chosen by a satisfiable solution:
-/// every true choice boolean becomes an op at its node, sorted in
-/// ascending region order per point (the sequentialization order used by
-/// constraint generation). Exposed for callers that drive the pipeline
-/// stages themselves (the analysis server); aflCompletion uses it too.
-regions::Completion extractCompletion(const constraints::GenResult &Gen,
-                                      const solver::SolveResult &Sol);
-
+/// mode and caps (see closure::ClosureOptions). \p Stats is reset on
+/// entry. A \p Cache (the server's, per document) routes the solve
+/// through solver::solveCached, with the same domains; \p Sol receives
+/// the solve result, empty when the closure analysis did not converge.
 regions::Completion
 aflCompletion(const regions::RegionProgram &Prog, AflStats *Stats = nullptr,
               const constraints::GenOptions &Options =
                   constraints::GenOptions(),
               const solver::SolveOptions &Solve = solver::SolveOptions(),
               const closure::ClosureOptions &ClosureOpts =
-                  closure::ClosureOptions());
+                  closure::ClosureOptions(),
+              solver::ShardSolutionCache *Cache = nullptr,
+              solver::SolveResult *Sol = nullptr);
 
 } // namespace completion
 } // namespace afl

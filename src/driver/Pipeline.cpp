@@ -54,7 +54,7 @@ void driver::recordPipelineMetrics(MetricsRegistry &Reg,
     Stage("conservative_completion", Stats.ConservativeSeconds);
     {
       MetricScope S(Reg, "closure_analysis");
-      Reg.addTime("wall_seconds", Stats.ClosureSeconds);
+      Reg.addTime("wall_seconds", Analysis.ClosureSeconds);
       Reg.add("passes", Analysis.Closure.Passes);
       Reg.add("processed_contexts", Analysis.Closure.ProcessedContexts);
       Reg.add("enqueued", Analysis.Closure.Enqueued);
@@ -70,7 +70,9 @@ void driver::recordPipelineMetrics(MetricsRegistry &Reg,
     }
     {
       MetricScope S(Reg, "constraint_gen");
-      Reg.addTime("wall_seconds", Stats.ConstraintGenSeconds);
+      Reg.addTime("wall_seconds", Analysis.ConstraintGenSeconds);
+      // Escape-pool pinned calls, a precision loss (DESIGN.md).
+      Reg.set("pinned_calls", Analysis.NumPinnedCalls);
       const constraints::ShardingStats &Shard = Analysis.Sharding;
       MetricScope Sharding(Reg, "sharding");
       Reg.set("shards", Shard.Shards);
@@ -80,7 +82,7 @@ void driver::recordPipelineMetrics(MetricsRegistry &Reg,
     }
     {
       MetricScope S(Reg, "solve");
-      Reg.addTime("wall_seconds", Stats.SolveSeconds);
+      Reg.addTime("wall_seconds", Analysis.SolveSeconds);
       Reg.add("propagations", Analysis.SolverPropagations);
       Reg.add("choices", Analysis.SolverChoices);
       Reg.add("backtracks", Analysis.SolverBacktracks);
@@ -99,7 +101,7 @@ void driver::recordPipelineMetrics(MetricsRegistry &Reg,
         Reg.addTime("simplify_seconds", Simp.SimplifySeconds);
       }
     }
-    Stage("extract", Stats.ExtractSeconds);
+    Stage("extract", Analysis.ExtractSeconds);
     Stage("run_conservative", Stats.RunConservativeSeconds);
     Stage("run_afl", Stats.RunAflSeconds);
     Stage("run_reference", Stats.RunReferenceSeconds);
@@ -264,26 +266,26 @@ void driver::recordMemoryMetrics(MetricsRegistry &Reg) {
   Reg.set("max_pooled", ArenaPool::global().maxPooled());
 }
 
-FrontEnd driver::runFrontEnd(std::string_view Source,
-                             DiagnosticEngine &Diags) {
+FrontEnd driver::runFrontEnd(std::string_view Source, DiagnosticEngine &Diags,
+                             PipelineStats &Stats) {
   FrontEnd F;
   F.Ctx = std::make_unique<ast::ASTContext>();
   Stopwatch Watch;
 
   F.Ast = parseExpr(Source, *F.Ctx, Diags);
-  F.ParseSeconds = Watch.seconds();
+  Stats.ParseSeconds = Watch.seconds();
   if (!F.Ast)
     return F;
 
   Watch.reset();
   types::TypedProgram Typed = types::inferTypes(F.Ast, *F.Ctx, Diags);
-  F.TypeInferSeconds = Watch.seconds();
+  Stats.TypeInferSeconds = Watch.seconds();
   if (!Typed.Success)
     return F;
 
   Watch.reset();
   F.Prog = regions::inferRegions(F.Ast, *F.Ctx, Typed, Diags);
-  F.RegionInferSeconds = Watch.seconds();
+  Stats.RegionInferSeconds = Watch.seconds();
   return F;
 }
 
@@ -292,13 +294,10 @@ PipelineResult driver::runPipeline(std::string_view Source,
   PipelineResult R;
   Stopwatch Total;
 
-  FrontEnd F = runFrontEnd(Source, R.Diags);
+  FrontEnd F = runFrontEnd(Source, R.Diags, R.Stats);
   R.Ctx = std::move(F.Ctx);
   R.Ast = F.Ast;
   R.Prog = std::move(F.Prog);
-  R.Stats.ParseSeconds = F.ParseSeconds;
-  R.Stats.TypeInferSeconds = F.TypeInferSeconds;
-  R.Stats.RegionInferSeconds = F.RegionInferSeconds;
   R.Stats.AstNodes = R.Ctx->numNodes();
   if (!R.Prog) {
     R.Stats.TotalSeconds = Total.seconds();
@@ -315,10 +314,6 @@ PipelineResult driver::runPipeline(std::string_view Source,
   R.AflC = completion::aflCompletion(*R.Prog, &R.Analysis, Options.GenOptions,
                                      Options.SolveOptions,
                                      Options.ClosureOptions);
-  R.Stats.ClosureSeconds = R.Analysis.ClosureSeconds;
-  R.Stats.ConstraintGenSeconds = R.Analysis.ConstraintGenSeconds;
-  R.Stats.SolveSeconds = R.Analysis.SolveSeconds;
-  R.Stats.ExtractSeconds = R.Analysis.ExtractSeconds;
 
   if (!Options.SkipRuns) {
     interp::RunOptions RO;

@@ -3,7 +3,8 @@
 /// \file
 /// The public pipeline facade: source text → parse → ML types → T-T
 /// region inference → {conservative, A-F-L} completions → instrumented
-/// runs. This is the API examples, tests and benchmarks use.
+/// runs. This is the API examples, tests and benchmarks use. Each stage
+/// time is written once, by the code that times it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,27 +48,24 @@ struct PipelineOptions {
   interp::BackendKind Backend = interp::BackendKind::Vm;
 };
 
-/// Per-stage observability for one pipeline run: wall-clock time of every
-/// stage that executed, plus the sizes of the intermediate artifacts.
-/// Filled unconditionally by runPipeline (stages that did not run stay
-/// at zero). Solver work counters live in PipelineResult::Analysis; the
-/// registry emission (recordMetrics) combines both.
+/// Per-stage observability for one pipeline run: wall-clock time of the
+/// stages outside the analysis half, plus the sizes of the intermediate
+/// artifacts. Filled unconditionally by runPipeline (stages that did not
+/// run stay at zero). The analysis half's times and work counters live in
+/// PipelineResult::Analysis; the registry emission (recordMetrics)
+/// combines both.
 struct PipelineStats {
   /// Wall-clock seconds per stage, in pipeline order.
   double ParseSeconds = 0;
   double TypeInferSeconds = 0;
   double RegionInferSeconds = 0;
   double ConservativeSeconds = 0; ///< conservative (T-T) completion
-  double ClosureSeconds = 0;      ///< extended closure analysis (§3)
-  double ConstraintGenSeconds = 0;
-  double SolveSeconds = 0;
-  double ExtractSeconds = 0; ///< completion extraction from the solution
   double RunConservativeSeconds = 0;
   double RunAflSeconds = 0;
   double RunReferenceSeconds = 0;
   /// VM-backend split of the two completed runs: bytecode compilation vs
   /// execution wall time, summed over both runs. These are sub-splits of
-  /// RunConservativeSeconds + RunAflSeconds (excluded from stageSum);
+  /// RunConservativeSeconds + RunAflSeconds, not stages of their own;
   /// both stay zero under the tree walker.
   double VmCompileSeconds = 0;
   double VmExecuteSeconds = 0;
@@ -78,14 +76,6 @@ struct PipelineStats {
   size_t AstNodes = 0;
   size_t RegionNodes = 0;
   size_t RegionVars = 0;
-
-  /// Sum of the individual stage times (excludes TotalSeconds).
-  double stageSum() const {
-    return ParseSeconds + TypeInferSeconds + RegionInferSeconds +
-           ConservativeSeconds + ClosureSeconds + ConstraintGenSeconds +
-           SolveSeconds + ExtractSeconds + RunConservativeSeconds +
-           RunAflSeconds + RunReferenceSeconds;
-  }
 };
 
 /// Everything the pipeline produced. Check ok() before using the later
@@ -123,25 +113,24 @@ struct PipelineResult {
 };
 
 /// The front half of the pipeline: parse → ML type inference → T-T region
-/// inference. Produced by runFrontEnd for callers that drive the analysis
-/// stages themselves (the `aflc --serve` analysis server re-runs the front
-/// end per edit, then reuses or re-runs the back end).
+/// inference. Produced by runFrontEnd for the analysis server, which
+/// re-runs the front end per edit and then reuses the analysis or runs
+/// completion::aflCompletion through its document's shard cache.
 struct FrontEnd {
   std::unique_ptr<ast::ASTContext> Ctx;
   const ast::Expr *Ast = nullptr;
   std::unique_ptr<regions::RegionProgram> Prog;
-  double ParseSeconds = 0;
-  double TypeInferSeconds = 0;
-  double RegionInferSeconds = 0;
 
   /// True if all three stages succeeded (diagnostics explain failures).
   bool ok() const { return Prog != nullptr; }
 };
 
 /// Runs parse + type inference + region inference on \p Source, reporting
-/// failures to \p Diags. On failure the result's later stages are null but
-/// earlier artifacts remain inspectable.
-FrontEnd runFrontEnd(std::string_view Source, DiagnosticEngine &Diags);
+/// failures to \p Diags and writing the three stage times into \p Stats
+/// (a stage that did not run keeps its time). On failure the result's
+/// later stages are null but earlier artifacts remain inspectable.
+FrontEnd runFrontEnd(std::string_view Source, DiagnosticEngine &Diags,
+                     PipelineStats &Stats);
 
 /// Runs the full pipeline on \p Source.
 PipelineResult runPipeline(std::string_view Source,

@@ -1,9 +1,5 @@
 #include "driver/Session.h"
 
-#include "closure/ClosureAnalysis.h"
-#include "completion/AflCompletion.h"
-#include "completion/Conservative.h"
-#include "constraints/ConstraintGen.h"
 #include "interp/Interp.h"
 #include "support/Metrics.h"
 
@@ -15,42 +11,29 @@ using namespace afl::driver;
 
 namespace {
 
-std::string jsonString(std::string_view S) {
-  std::string O = "\"";
-  O += MetricsRegistry::escapeJson(S);
-  O += '"';
-  return O;
-}
-
 uint64_t micros(double Seconds) {
   return Seconds > 0 ? static_cast<uint64_t>(std::llround(Seconds * 1e6)) : 0;
-}
-
-/// Re-serializes a request "id" for echoing (numbers and strings pass
-/// through; anything else, including a missing id, becomes null).
-std::string echoId(const json::Value *Id) {
-  if (!Id)
-    return "null";
-  if (Id->isInt())
-    return std::to_string(Id->asInt());
-  if (Id->isString())
-    return jsonString(Id->asString());
-  return "null";
 }
 
 /// The completion report as a JSON object: classification counts plus the
 /// full human-readable rendering (the byte string the differential tests
 /// compare).
-std::string reportJson(const completion::CompletionReport &R) {
-  std::string O = "{";
-  O += "\"regions\":" + std::to_string(R.Regions.size());
-  O += ",\"lexical\":" + std::to_string(R.NumLexical);
-  O += ",\"late_alloc\":" + std::to_string(R.NumLateAlloc);
-  O += ",\"early_free\":" + std::to_string(R.NumEarlyFree);
-  O += ",\"non_lexical\":" + std::to_string(R.NumNonLexical);
-  O += ",\"unused\":" + std::to_string(R.NumUnused);
-  O += ",\"text\":" + jsonString(R.str());
-  O += "}";
+void writeReport(json::Writer &W, const completion::CompletionReport &R) {
+  W.beginObject();
+  W.key("regions").integer(R.Regions.size());
+  W.key("lexical").integer(R.NumLexical);
+  W.key("late_alloc").integer(R.NumLateAlloc);
+  W.key("early_free").integer(R.NumEarlyFree);
+  W.key("non_lexical").integer(R.NumNonLexical);
+  W.key("unused").integer(R.NumUnused);
+  W.key("text").string(R.str());
+  W.endObject();
+}
+
+/// A one-member result object, {"<Key>":true}.
+std::string trueFlag(std::string_view Key) {
+  std::string O;
+  json::Writer(O).beginObject().key(Key).boolean(true).endObject();
   return O;
 }
 
@@ -61,6 +44,49 @@ std::string domainString(const std::vector<uint8_t> &Dom) {
   O.reserve(Dom.size());
   for (uint8_t D : Dom)
     O.push_back(static_cast<char>('0' + (D & 7)));
+  return O;
+}
+
+/// Renders one response line; `timings` is its last member. \p FrontEnd
+/// and \p Analysis are where the request's stage times live (\p Analysis
+/// is null when the request ran no analysis).
+std::string responseLine(const json::Value *Id, bool Ok, std::string_view Body,
+                         const PipelineStats &FrontEnd,
+                         const completion::AflStats *Analysis,
+                         double TotalSeconds) {
+  std::string O;
+  json::Writer W(O);
+  W.beginObject().key("id");
+  // Numbers and strings echo; anything else, a missing id included, is
+  // null.
+  if (Id && Id->isInt())
+    W.integer(Id->asInt());
+  else if (Id && Id->isString())
+    W.string(Id->asString());
+  else
+    W.raw("null");
+  W.key("ok").boolean(Ok);
+  if (Ok)
+    W.key("result").raw(Body);
+  else
+    W.key("error").string(Body);
+
+  W.key("timings").beginObject();
+  // The stage keys appear whenever the front end ran; the analysis keys
+  // read 0 when no analysis ran (reuse tier, front-end failure).
+  double FrontEndSeconds = FrontEnd.ParseSeconds + FrontEnd.TypeInferSeconds +
+                           FrontEnd.RegionInferSeconds;
+  if (Analysis || FrontEndSeconds > 0) {
+    static const completion::AflStats NoAnalysis;
+    const completion::AflStats &A = Analysis ? *Analysis : NoAnalysis;
+    W.key("frontend_us").integer(micros(FrontEndSeconds));
+    W.key("closure_us").integer(micros(A.ClosureSeconds));
+    W.key("congen_us").integer(micros(A.ConstraintGenSeconds));
+    W.key("solve_us").integer(micros(A.SolveSeconds));
+    W.key("extract_us").integer(micros(A.ExtractSeconds));
+  }
+  W.key("total_us").integer(micros(TotalSeconds));
+  W.endObject().endObject();
   return O;
 }
 
@@ -195,46 +221,17 @@ bool sameUpToLiterals(const regions::RegionProgram &Old,
 
 } // namespace
 
-Session::AnalysisInfo Session::analyze(Document &Doc, StageTimings &T) {
-  AnalysisInfo Info;
-  T.AnalysisRan = true;
+Session::AnalysisInfo Session::analyze(Document &Doc) {
   ++Stats.FullAnalyses;
-  Stopwatch Watch;
-
-  closure::ClosureAnalysis CA(*Doc.Prog);
-  bool Converged = CA.run();
-  T.Closure = Watch.seconds();
-  Info.ProcessedContexts = CA.stats().ProcessedContexts;
-  Doc.Summary = AnalysisSummary();
-  Doc.Summary.Converged = Converged;
-  Doc.Summary.Contexts = CA.numContexts();
-  Doc.Summary.Closures = CA.numClosures();
-
   uint64_t Hits0 = Doc.Cache.Hits;
   uint64_t Misses0 = Doc.Cache.Misses;
-  if (!Converged) {
-    // Mirror aflCompletion: unconverged tables are unsound, fall back to
-    // the conservative completion (should not happen in practice).
-    Doc.Sol = solver::SolveResult();
-    Doc.AflC = completion::conservativeCompletion(*Doc.Prog);
-  } else {
-    Watch.reset();
-    constraints::GenResult Gen =
-        constraints::generateConstraints(*Doc.Prog, CA);
-    T.ConstraintGen = Watch.seconds();
-    Doc.Summary.StateVars = Gen.Sys.numStateVars();
-    Doc.Summary.BoolVars = Gen.Sys.numBoolVars();
-    Doc.Summary.Constraints = Gen.Sys.numConstraints();
-    Doc.Summary.Shards = Gen.Sys.numShards();
-    Doc.Sol = solver::solveCached(Gen.Sys, solver::SolveOptions(), Doc.Cache);
-    T.Solve = Doc.Sol.Seconds;
-    Watch.reset();
-    Doc.AflC = Doc.Sol.Sat ? completion::extractCompletion(Gen, Doc.Sol)
-                           : completion::conservativeCompletion(*Doc.Prog);
-    T.Extract = Watch.seconds();
-  }
+  Doc.AflC = completion::aflCompletion(
+      *Doc.Prog, &Doc.Analysis, constraints::GenOptions(),
+      solver::SolveOptions(), closure::ClosureOptions(), &Doc.Cache, &Doc.Sol);
   Doc.Report = completion::reportCompletion(*Doc.Prog, Doc.AflC);
 
+  AnalysisInfo Info;
+  Info.ProcessedContexts = Doc.Analysis.Closure.ProcessedContexts;
   Info.ShardsSolved = Doc.Cache.Misses - Misses0;
   Info.ShardsReused = Doc.Cache.Hits - Hits0;
   Stats.ShardsSolved += Info.ShardsSolved;
@@ -257,6 +254,33 @@ Session::Document *Session::findDoc(const json::Value &Params,
   return &It->second;
 }
 
+std::string Session::documentBody(int64_t Id, const Document &Doc,
+                                  const AnalysisInfo &Info) {
+  const completion::AflStats &A = Doc.Analysis;
+  std::string O;
+  json::Writer W(O);
+  W.beginObject();
+  W.key("doc").integer(Id);
+  W.key("tier").string(Info.Tier);
+  W.key("report");
+  writeReport(W, Doc.Report);
+  W.key("analysis").beginObject();
+  W.key("converged").boolean(A.Closure.Converged);
+  W.key("sat").boolean(Doc.Sol.Sat);
+  W.key("contexts").integer(A.Closure.NumContexts);
+  W.key("closures").integer(A.Closure.NumClosures);
+  W.key("state_vars").integer(A.NumStateVars);
+  W.key("bool_vars").integer(A.NumBoolVars);
+  W.key("constraints").integer(A.NumConstraints);
+  W.key("shards").integer(A.Sharding.Shards);
+  W.key("processed_contexts").integer(Info.ProcessedContexts);
+  W.key("shards_solved").integer(Info.ShardsSolved);
+  W.key("shards_reused").integer(Info.ShardsReused);
+  W.endObject();
+  W.endObject();
+  return O;
+}
+
 std::string Session::handleOpen(const json::Value &Params, StageTimings &T,
                                 std::string &Error) {
   const json::Value *Source = Params.find("source");
@@ -267,8 +291,7 @@ std::string Session::handleOpen(const json::Value &Params, StageTimings &T,
   ++Stats.Opens;
 
   DiagnosticEngine Diags;
-  FrontEnd F = runFrontEnd(Source->asString(), Diags);
-  T.FrontEnd = F.ParseSeconds + F.TypeInferSeconds + F.RegionInferSeconds;
+  FrontEnd F = runFrontEnd(Source->asString(), Diags, T.FrontEnd);
   if (!F.ok()) {
     Error = "analysis failed: " + Diags.str();
     return "";
@@ -277,37 +300,12 @@ std::string Session::handleOpen(const json::Value &Params, StageTimings &T,
   Document Doc;
   Doc.Text = Source->asString();
   Doc.Prog = std::move(F.Prog);
-  AnalysisInfo Info = analyze(Doc, T);
+  AnalysisInfo Info = analyze(Doc);
 
   int64_t Id = NextDocId++;
-  Document &Stored = Docs[Id];
-  Stored = std::move(Doc);
-
-  std::string O = "{\"doc\":" + std::to_string(Id);
-  O += ",\"tier\":" + jsonString(Info.Tier);
-  O += ",\"report\":" + reportJson(Stored.Report);
-  O += ",\"analysis\":" + analysisBody(Stored, Info);
-  O += "}";
-  return O;
-}
-
-std::string Session::analysisBody(const Document &Doc,
-                                  const AnalysisInfo &Info) const {
-  const AnalysisSummary &A = Doc.Summary;
-  std::string O = "{";
-  O += "\"converged\":" + std::string(A.Converged ? "true" : "false");
-  O += ",\"sat\":" + std::string(Doc.Sol.Sat ? "true" : "false");
-  O += ",\"contexts\":" + std::to_string(A.Contexts);
-  O += ",\"closures\":" + std::to_string(A.Closures);
-  O += ",\"state_vars\":" + std::to_string(A.StateVars);
-  O += ",\"bool_vars\":" + std::to_string(A.BoolVars);
-  O += ",\"constraints\":" + std::to_string(A.Constraints);
-  O += ",\"shards\":" + std::to_string(A.Shards);
-  O += ",\"processed_contexts\":" + std::to_string(Info.ProcessedContexts);
-  O += ",\"shards_solved\":" + std::to_string(Info.ShardsSolved);
-  O += ",\"shards_reused\":" + std::to_string(Info.ShardsReused);
-  O += "}";
-  return O;
+  Document &Stored = Docs[Id] = std::move(Doc);
+  T.Analysis = &Stored.Analysis;
+  return documentBody(Id, Stored, Info);
 }
 
 std::string Session::handleEdit(const json::Value &Params, StageTimings &T,
@@ -344,8 +342,7 @@ std::string Session::handleEdit(const json::Value &Params, StageTimings &T,
   // The front end always re-runs from scratch; a failure leaves the
   // document at its previous revision (revert semantics, docs/SERVER.md).
   DiagnosticEngine Diags;
-  FrontEnd F = runFrontEnd(NewText, Diags);
-  T.FrontEnd = F.ParseSeconds + F.TypeInferSeconds + F.RegionInferSeconds;
+  FrontEnd F = runFrontEnd(NewText, Diags, T.FrontEnd);
   if (!F.ok()) {
     Error = "analysis failed (document unchanged): " + Diags.str();
     return "";
@@ -361,20 +358,14 @@ std::string Session::handleEdit(const json::Value &Params, StageTimings &T,
   AnalysisInfo Info;
   if (Reuse) {
     Info.Tier = "reuse";
-    Info.ShardsReused = Doc->Summary.Shards;
+    Info.ShardsReused = Doc->Analysis.Sharding.Shards;
     ++Stats.ReusedAnalyses;
     Stats.ShardsReused += Info.ShardsReused;
   } else {
-    Info = analyze(*Doc, T);
+    Info = analyze(*Doc);
+    T.Analysis = &Doc->Analysis;
   }
-
-  const json::Value *DocId = Params.find("doc");
-  std::string O = "{\"doc\":" + std::to_string(DocId->asInt());
-  O += ",\"tier\":" + jsonString(Info.Tier);
-  O += ",\"report\":" + reportJson(Doc->Report);
-  O += ",\"analysis\":" + analysisBody(*Doc, Info);
-  O += "}";
-  return O;
+  return documentBody(Params.find("doc")->asInt(), *Doc, Info);
 }
 
 std::string Session::handleQuery(const json::Value &Params,
@@ -385,9 +376,13 @@ std::string Session::handleQuery(const json::Value &Params,
     return "";
   }
   ++Stats.Queries;
-  const std::string &W = What->asString();
+  const std::string &Q = What->asString();
+  // Every query answers {"<what>": ...}.
+  std::string O;
+  json::Writer W(O);
+  W.beginObject().key(Q);
 
-  if (W == "metrics") {
+  if (Q == "metrics") {
     MetricsRegistry Reg;
     Reg.set("requests", Stats.Requests);
     Reg.set("errors", Stats.Errors);
@@ -412,52 +407,54 @@ std::string Session::handleQuery(const json::Value &Params,
     // Process-wide arena-pool counters: every open/edit leases its AST
     // and region-IR arenas from the pool (docs/OBSERVABILITY.md).
     recordMemoryMetrics(Reg);
-    return "{\"metrics\":" + Reg.json(false) + "}";
+    W.raw(Reg.json(false)).endObject();
+    return O;
   }
 
   Document *Doc = findDoc(Params, Error);
   if (!Doc)
     return "";
-  if (W == "report")
-    return "{\"report\":" + reportJson(Doc->Report) + "}";
-  if (W == "domains") {
-    std::string O = "{\"domains\":{";
-    O += "\"sat\":" + std::string(Doc->Sol.Sat ? "true" : "false");
-    O += ",\"states\":" + jsonString(domainString(Doc->Sol.StateDom));
-    O += ",\"bools\":" + jsonString(domainString(Doc->Sol.BoolDom));
-    O += "}}";
-    return O;
-  }
-  if (W == "run") {
+  if (Q == "report") {
+    writeReport(W, Doc->Report);
+  } else if (Q == "domains") {
+    W.beginObject();
+    W.key("sat").boolean(Doc->Sol.Sat);
+    W.key("states").string(domainString(Doc->Sol.StateDom));
+    W.key("bools").string(domainString(Doc->Sol.BoolDom));
+    W.endObject();
+  } else if (Q == "run") {
     // Instrumented execution of the document under its current A-F-L
     // completion, always on the bytecode VM (docs/VM.md).
     Stopwatch Watch;
     interp::RunResult R = interp::run(*Doc->Prog, Doc->AflC);
     double TotalSeconds = Watch.seconds();
-    std::string O = "{\"run\":{";
-    O += "\"ok\":" + std::string(R.Ok ? "true" : "false");
+    W.beginObject();
+    W.key("ok").boolean(R.Ok);
     if (R.Ok)
-      O += ",\"result\":" + jsonString(R.ResultText);
+      W.key("result").string(R.ResultText);
     else
-      O += ",\"error\":" + jsonString(R.Error);
-    O += ",\"backend\":\"vm\"";
-    O += ",\"stats\":{";
-    O += "\"max_regions\":" + std::to_string(R.S.MaxRegions);
-    O += ",\"region_allocs\":" + std::to_string(R.S.TotalRegionAllocs);
-    O += ",\"value_allocs\":" + std::to_string(R.S.TotalValueAllocs);
-    O += ",\"max_values\":" + std::to_string(R.S.MaxValues);
-    O += ",\"final_values\":" + std::to_string(R.S.FinalValues);
-    O += ",\"memory_ops\":" + std::to_string(R.S.Time);
-    O += "},\"micros\":{";
-    O += "\"compile_us\":" + std::to_string(micros(R.VmCompileSeconds));
-    O += ",\"execute_us\":" + std::to_string(micros(R.VmExecuteSeconds));
-    O += ",\"total_us\":" + std::to_string(micros(TotalSeconds));
-    O += "}}}";
-    return O;
+      W.key("error").string(R.Error);
+    W.key("backend").string("vm");
+    W.key("stats").beginObject();
+    W.key("max_regions").integer(R.S.MaxRegions);
+    W.key("region_allocs").integer(R.S.TotalRegionAllocs);
+    W.key("value_allocs").integer(R.S.TotalValueAllocs);
+    W.key("max_values").integer(R.S.MaxValues);
+    W.key("final_values").integer(R.S.FinalValues);
+    W.key("memory_ops").integer(R.S.Time);
+    W.endObject();
+    W.key("micros").beginObject();
+    W.key("compile_us").integer(micros(R.VmCompileSeconds));
+    W.key("execute_us").integer(micros(R.VmExecuteSeconds));
+    W.key("total_us").integer(micros(TotalSeconds));
+    W.endObject().endObject();
+  } else {
+    Error = "unknown query \"" + Q +
+            "\" (expected report, metrics, domains or run)";
+    return "";
   }
-  Error =
-      "unknown query \"" + W + "\" (expected report, metrics, domains or run)";
-  return "";
+  W.endObject();
+  return O;
 }
 
 std::string Session::handleClose(const json::Value &Params,
@@ -468,12 +465,11 @@ std::string Session::handleClose(const json::Value &Params,
     return "";
   ++Stats.Closes;
   Docs.erase(DocId->asInt());
-  return "{\"closed\":true}";
+  return trueFlag("closed");
 }
 
 std::string Session::errorLine(const std::string &Msg) {
-  return "{\"id\":null,\"ok\":false,\"error\":" + jsonString(Msg) +
-         ",\"timings\":{\"total_us\":0}}";
+  return responseLine(nullptr, false, Msg, PipelineStats(), nullptr, 0);
 }
 
 std::string Session::transportError(const std::string &Msg) {
@@ -486,23 +482,10 @@ std::string Session::handleLine(const std::string &Line) {
   Stopwatch Total;
   ++Stats.Requests;
 
-  std::string IdJson = "null";
+  const json::Value *Id = nullptr;
   StageTimings T;
-  auto Respond = [&](bool Ok, const std::string &Body) {
-    std::string O = "{\"id\":" + IdJson;
-    O += Ok ? ",\"ok\":true,\"result\":" + Body
-            : ",\"ok\":false,\"error\":" + jsonString(Body);
-    O += ",\"timings\":{";
-    if (T.AnalysisRan || T.FrontEnd > 0) {
-      O += "\"frontend_us\":" + std::to_string(micros(T.FrontEnd));
-      O += ",\"closure_us\":" + std::to_string(micros(T.Closure));
-      O += ",\"congen_us\":" + std::to_string(micros(T.ConstraintGen));
-      O += ",\"solve_us\":" + std::to_string(micros(T.Solve));
-      O += ",\"extract_us\":" + std::to_string(micros(T.Extract));
-      O += ",";
-    }
-    O += "\"total_us\":" + std::to_string(micros(Total.seconds())) + "}}";
-    return O;
+  auto Respond = [&](bool Ok, std::string_view Body) {
+    return responseLine(Id, Ok, Body, T.FrontEnd, T.Analysis, Total.seconds());
   };
   auto Fail = [&](const std::string &Msg) {
     ++Stats.Errors;
@@ -515,7 +498,7 @@ std::string Session::handleLine(const std::string &Line) {
     return Fail("parse error: " + ParseError);
   if (!Req.isObject())
     return Fail("request must be a JSON object");
-  IdJson = echoId(Req.find("id"));
+  Id = Req.find("id");
   const json::Value *Method = Req.find("method");
   if (!Method || !Method->isString())
     return Fail("missing string \"method\"");
@@ -540,7 +523,7 @@ std::string Session::handleLine(const std::string &Line) {
       Result = handleClose(*Params, Error);
     else if (M == "shutdown") {
       Shutdown = true;
-      Result = "{\"stopping\":true}";
+      Result = trueFlag("stopping");
     } else
       Error = "unknown method \"" + M + "\"";
     if (!Error.empty())

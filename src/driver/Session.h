@@ -4,10 +4,11 @@
 /// One analysis-server session: the transport-agnostic core behind
 /// `aflc --serve`. A Session owns a document store (text, region program
 /// and what requests read of the analysis, kept hot across edits) and
-/// answers one newline-delimited JSON request at a time via handleLine(). It knows nothing about where the
-/// request bytes came from — driver::Server pumps it from stdin/stdout or
-/// from a TCP connection (docs/SERVER.md documents every method, the
-/// invalidation model, and the failure semantics).
+/// answers one newline-delimited JSON request at a time via handleLine().
+/// It knows nothing about where the request bytes came from —
+/// driver::Server pumps it from stdin/stdout or from a TCP connection
+/// (docs/SERVER.md documents every method, the invalidation model, and
+/// the failure semantics).
 ///
 /// Per edit the session re-runs the front end (parse → types → regions;
 /// always from scratch — it is the cheap half), then compares the new
@@ -16,12 +17,12 @@
 ///   * a program equal to the open one up to Int/Bool literal payloads
 ///     keeps the previous analysis outright and adopts the new program
 ///     ("reuse" tier — no context processed, no shard solved);
-///   * everything else re-runs the closure analysis and constraint
-///     generation from scratch ("full" tier).
+///   * everything else runs completion::aflCompletion, the pipeline's
+///     own analysis driver, from scratch ("full" tier).
 ///
-/// Both tiers share a per-document shard solution cache
-/// (solver::ShardSolutionCache), so constraint shards untouched by an
-/// edit replay their solved domains without re-entering the solver.
+/// The full tier passes aflCompletion the document's shard solution
+/// cache (solver::ShardSolutionCache), so constraint shards untouched by
+/// an edit replay their solved domains without re-entering the solver.
 /// Both tiers produce byte-identical reports, solver domains and runs to a
 /// from-scratch run — tests/ServerTest.cpp proves it differentially, and
 /// the socket transport's multi-client harness proves each connection's
@@ -41,6 +42,7 @@
 #ifndef AFL_DRIVER_SESSION_H
 #define AFL_DRIVER_SESSION_H
 
+#include "completion/AflCompletion.h"
 #include "completion/Report.h"
 #include "driver/Pipeline.h"
 #include "solver/Solver.h"
@@ -177,40 +179,27 @@ public:
   bool shutdownRequested() const { return Shutdown; }
 
 private:
-  /// What the "analysis" body reports of a document's last analysis.
-  struct AnalysisSummary {
-    bool Converged = false;
-    size_t Contexts = 0;
-    size_t Closures = 0;
-    size_t StateVars = 0;
-    size_t BoolVars = 0;
-    size_t Constraints = 0;
-    size_t Shards = 0;
-  };
-
   /// An open document: its text, its region program, and what requests
   /// read of its last analysis. The closure tables and the constraint
-  /// system are dropped once the completion is extracted. Everything kept
-  /// is keyed by node and region ids, so the reuse tier can adopt a new
-  /// program with the same ids and keep the rest.
+  /// system are dropped once the completion is extracted; the analysis
+  /// statistics keep every number the "analysis" body reports. Everything
+  /// kept is keyed by node and region ids, so the reuse tier can adopt a
+  /// new program with the same ids and keep the rest.
   struct Document {
     std::string Text;
     std::unique_ptr<regions::RegionProgram> Prog;
-    AnalysisSummary Summary;
+    completion::AflStats Analysis;
     solver::SolveResult Sol;
     regions::Completion AflC;
     completion::CompletionReport Report;
     solver::ShardSolutionCache Cache;
   };
 
-  /// Wall-clock stage timings of one request, in seconds.
+  /// Where one request's stage times live: the front end's record, and
+  /// the statistics of the analysis the request ran (null if none ran).
   struct StageTimings {
-    double FrontEnd = 0;
-    double Closure = 0;
-    double ConstraintGen = 0;
-    double Solve = 0;
-    double Extract = 0;
-    bool AnalysisRan = false;
+    PipelineStats FrontEnd;
+    const completion::AflStats *Analysis = nullptr;
   };
 
   /// The per-request half of the response body: the tier taken and the
@@ -222,15 +211,14 @@ private:
     uint64_t ShardsReused = 0;
   };
 
-  /// Runs closure analysis → constraint generation → cached solve →
-  /// extraction over Doc.Prog from scratch, replacing Doc's summary,
-  /// domains, completion and report. Mirrors completion::aflCompletion's
-  /// fallbacks (conservative completion on non-convergence or unsat) so
-  /// results are byte-identical to the one-shot pipeline.
-  AnalysisInfo analyze(Document &Doc, StageTimings &T);
+  /// Runs completion::aflCompletion over Doc.Prog through Doc's shard
+  /// cache, replacing Doc's statistics, domains, completion and report.
+  AnalysisInfo analyze(Document &Doc);
 
-  /// Renders the shared "analysis" result object for open/edit responses.
-  std::string analysisBody(const Document &Doc, const AnalysisInfo &Info) const;
+  /// Renders the open/edit result object: the document id, the tier, the
+  /// report and the "analysis" body.
+  static std::string documentBody(int64_t Id, const Document &Doc,
+                                  const AnalysisInfo &Info);
 
   std::string handleOpen(const json::Value &Params, StageTimings &T,
                          std::string &Error);

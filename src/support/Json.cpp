@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -348,4 +349,63 @@ private:
 bool json::parseJson(std::string_view Text, Value &Out, std::string &Error) {
   Parser P(Text, Error);
   return P.parse(Out);
+}
+
+void json::appendString(std::string &Out, std::string_view S) {
+  Out += '"';
+  for (unsigned char C : S) {
+    if (C == '"' || C == '\\') {
+      Out += '\\';
+      Out += static_cast<char>(C);
+    } else if (C >= '\b' && C <= '\r' && C != '\v') {
+      // \b \t \n \f \r have short escapes; \v (0x0b) does not.
+      Out += '\\';
+      Out += "btn?fr"[C - '\b'];
+    } else if (C < 0x20) {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+      Out += Buf;
+    } else {
+      Out += static_cast<char>(C);
+    }
+  }
+  Out += '"';
+}
+
+void Writer::newline(size_t Depth) {
+  Out += '\n';
+  Out.append(Depth * 2, ' ');
+}
+
+Writer &Writer::beginObject() {
+  Out += '{';
+  Empty.push_back(true);
+  return *this;
+}
+
+Writer &Writer::endObject() {
+  bool WasEmpty = Empty.back();
+  Empty.pop_back();
+  if (Pretty && !WasEmpty)
+    newline(Empty.size());
+  Out += '}';
+  return *this;
+}
+
+Writer &Writer::key(std::string_view Name) {
+  if (!Empty.back())
+    Out += ',';
+  Empty.back() = false;
+  if (Pretty)
+    newline(Empty.size());
+  appendString(Out, Name);
+  Out += Pretty ? ": " : ":";
+  return *this;
+}
+
+Writer &Writer::seconds(double S) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%.9f", S);
+  Out += Buf;
+  return *this;
 }

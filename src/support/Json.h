@@ -1,12 +1,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A minimal JSON reader, the counterpart of the writer in
-/// support/Metrics.h. The analysis server (src/driver/Server.cpp) parses
-/// one request object per input line; nothing here allocates a DOM larger
-/// than the request. No third-party dependencies, no exceptions: parse
-/// errors are reported through an out-parameter and malformed input can
-/// never crash the server (docs/SERVER.md failure semantics).
+/// A minimal JSON reader and the one JSON writer. The analysis server
+/// (src/driver/Server.cpp) parses one request object per input line;
+/// nothing here allocates a DOM larger than the request. No third-party
+/// dependencies, no exceptions: parse errors are reported through an
+/// out-parameter and malformed input can never crash the server
+/// (docs/SERVER.md failure semantics).
 ///
 /// Numbers are kept in both integer and double form: protocol fields are
 /// small integers (document ids, byte offsets) read through asInt(), and
@@ -17,9 +17,11 @@
 #ifndef AFL_SUPPORT_JSON_H
 #define AFL_SUPPORT_JSON_H
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -125,6 +127,53 @@ private:
 /// \p Error on malformed input; \p Out is unspecified then. Nesting depth
 /// is capped so adversarial input cannot overflow the stack.
 bool parseJson(std::string_view Text, Value &Out, std::string &Error);
+
+/// Appends \p S to \p Out as a JSON string literal: quoted, with quotes,
+/// backslashes and control characters escaped per RFC 8259.
+void appendString(std::string &Out, std::string_view S);
+
+/// Appends JSON objects to one caller-owned buffer; every JSON object the
+/// tools emit goes through it. A member is key() followed by one value
+/// call or a nested beginObject(); the writer places the commas and, in
+/// pretty mode, the newlines and two-space indentation (an empty object
+/// stays "{}"). Calls chain: `W.key("doc").integer(3)`.
+class Writer {
+public:
+  explicit Writer(std::string &Out, bool Pretty = false)
+      : Out(Out), Pretty(Pretty) {}
+
+  Writer &beginObject();
+  Writer &endObject();
+  Writer &key(std::string_view Name);
+
+  template <typename T> Writer &integer(T V) {
+    static_assert(std::is_integral_v<T>, "integer() takes integers");
+    char Buf[24];
+    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+    return *this;
+  }
+  Writer &boolean(bool V) { return raw(V ? "true" : "false"); }
+  Writer &string(std::string_view S) {
+    appendString(Out, S);
+    return *this;
+  }
+  /// Seconds in fixed point with nine decimals, so a timer always has a
+  /// fractional part and never reads like a counter.
+  Writer &seconds(double S);
+  /// Already-rendered JSON, embedded verbatim.
+  Writer &raw(std::string_view Json) {
+    Out += Json;
+    return *this;
+  }
+
+private:
+  void newline(size_t Depth);
+
+  std::string &Out;
+  bool Pretty;
+  /// One entry per open object: true until its first member.
+  std::vector<bool> Empty;
+};
 
 } // namespace json
 } // namespace afl

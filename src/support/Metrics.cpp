@@ -1,7 +1,8 @@
 #include "support/Metrics.h"
 
+#include "support/Json.h"
+
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 
@@ -164,109 +165,36 @@ void MetricsRegistry::merge(const MetricsRegistry &Other) {
 // JSON
 //===----------------------------------------------------------------------===//
 
-std::string MetricsRegistry::escapeJson(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\b':
-      Out += "\\b";
-      break;
-    case '\f':
-      Out += "\\f";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
-  return Out;
-}
-
-namespace {
-
-/// Prints a double so that it always round-trips as a JSON number with a
-/// fractional part ("0.0", never "0" — keeps counters and timers
-/// distinguishable in the output).
-std::string formatSeconds(double Seconds) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.9f", Seconds);
-  return Buf;
-}
-
-} // namespace
-
 std::string MetricsRegistry::json(bool Pretty) const {
   std::string Out;
+  json::Writer W(Out, Pretty);
   struct Renderer {
-    bool Pretty;
-    std::string &Out;
+    json::Writer &W;
 
-    void indent(unsigned Depth) {
-      if (Pretty)
-        Out.append(static_cast<size_t>(Depth) * 2, ' ');
-    }
-
-    void scope(const Node &N, unsigned Depth) {
-      Out += '{';
-      bool First = true;
+    void scope(const Node &N) {
+      W.beginObject();
       for (const auto &C : N.Children) {
-        if (!First)
-          Out += ',';
-        First = false;
-        if (Pretty)
-          Out += '\n';
-        indent(Depth + 1);
-        Out += '"';
-        Out += MetricsRegistry::escapeJson(C->Name);
-        Out += Pretty ? "\": " : "\":";
+        W.key(C->Name);
         switch (C->NodeKind) {
         case Node::Kind::Scope:
-          scope(*C, Depth + 1);
+          scope(*C);
           break;
         case Node::Kind::Counter:
         case Node::Kind::Peak:
-          Out += std::to_string(C->Count);
+          W.integer(C->Count);
           break;
         case Node::Kind::Timer:
-          Out += formatSeconds(C->Seconds);
+          W.seconds(C->Seconds);
           break;
         case Node::Kind::Text:
-          Out += '"';
-          Out += MetricsRegistry::escapeJson(C->Text);
-          Out += '"';
+          W.string(C->Text);
           break;
         }
       }
-      if (!First && Pretty) {
-        Out += '\n';
-        indent(Depth);
-      }
-      Out += '}';
+      W.endObject();
     }
   };
-  Renderer R{Pretty, Out};
-  R.scope(*Root, 0);
+  Renderer{W}.scope(*Root);
   if (Pretty)
     Out += '\n';
   return Out;

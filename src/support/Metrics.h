@@ -4,7 +4,7 @@
 /// Lightweight observability primitives shared by the pipeline, the
 /// command-line tools and the benchmarks: a monotonic Stopwatch, a
 /// MetricsRegistry of named counters and timers organized in nested
-/// scopes, and a stable JSON serializer. No third-party dependencies;
+/// scopes, and its stable JSON rendering. No third-party dependencies;
 /// see docs/OBSERVABILITY.md for the data model and the emitted schema.
 ///
 //===----------------------------------------------------------------------===//
@@ -121,14 +121,11 @@ public:
   // Serialization
   //===------------------------------------------------------------------===//
 
-  /// Renders the whole tree as a JSON object: scopes become objects,
-  /// counters integers, timers doubles. Key order is insertion order.
-  /// \p Pretty selects 2-space-indented multi-line output.
+  /// Renders the whole tree through json::Writer as a JSON object:
+  /// scopes become objects, counters integers, timers fixed-point
+  /// seconds. Key order is insertion order. \p Pretty selects
+  /// 2-space-indented multi-line output with a trailing newline.
   std::string json(bool Pretty = true) const;
-
-  /// Escapes \p S for inclusion in a JSON string literal (quotes,
-  /// backslashes, control characters).
-  static std::string escapeJson(std::string_view S);
 
 private:
   struct Node;

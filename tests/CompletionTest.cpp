@@ -7,6 +7,7 @@
 #include "parser/Parser.h"
 #include "programs/Corpus.h"
 #include "regions/RegionInference.h"
+#include "regions/RegionPrinter.h"
 #include "regions/Validator.h"
 #include "types/TypeInference.h"
 
@@ -125,6 +126,98 @@ TEST(Afl, CompletionValidatesOnCorpus) {
     std::vector<std::string> Errors = validateCompletion(*P, C);
     EXPECT_TRUE(Errors.empty()) << BP.Name << ": " << Errors.front();
   }
+}
+
+/// The analysis counters a cached and an uncached solve must agree on
+/// (solver work is counted only for the shards a call actually solves).
+void expectSameAnalysis(const completion::AflStats &Got,
+                        const completion::AflStats &Want) {
+  EXPECT_EQ(Got.Solved, Want.Solved);
+  EXPECT_EQ(Got.Closure.Converged, Want.Closure.Converged);
+  EXPECT_EQ(Got.Closure.ProcessedContexts, Want.Closure.ProcessedContexts);
+  EXPECT_EQ(Got.Closure.NumContexts, Want.Closure.NumContexts);
+  EXPECT_EQ(Got.Closure.NumClosures, Want.Closure.NumClosures);
+  EXPECT_EQ(Got.NumContexts, Want.NumContexts);
+  EXPECT_EQ(Got.NumStateVars, Want.NumStateVars);
+  EXPECT_EQ(Got.NumBoolVars, Want.NumBoolVars);
+  EXPECT_EQ(Got.NumConstraints, Want.NumConstraints);
+  EXPECT_EQ(Got.NumPinnedCalls, Want.NumPinnedCalls);
+  EXPECT_EQ(Got.Sharding.Shards, Want.Sharding.Shards);
+  EXPECT_EQ(Got.Sharding.LargestShardConstraints,
+            Want.Sharding.LargestShardConstraints);
+}
+
+TEST(Afl, CachedDriverMatchesUncached) {
+  std::vector<programs::BenchProgram> Corpus = programs::table2Corpus();
+  for (programs::BenchProgram &BP : programs::smallCorpus())
+    Corpus.push_back(std::move(BP));
+  for (const programs::BenchProgram &BP : Corpus) {
+    SCOPED_TRACE(BP.Name);
+    auto P = infer(BP.Source);
+    completion::AflStats Want;
+    solver::SolveResult WantSol;
+    Completion WantC = completion::aflCompletion(
+        *P, &Want, constraints::GenOptions(), solver::SolveOptions(),
+        closure::ClosureOptions(), nullptr, &WantSol);
+    ASSERT_TRUE(Want.Solved);
+    const std::string WantText = printRegionProgram(*P, &WantC);
+
+    // A cold cache solves every shard; the warm call replays them all.
+    solver::ShardSolutionCache Cache;
+    for (bool Warm : {false, true}) {
+      SCOPED_TRACE(Warm ? "warm" : "cold");
+      uint64_t Hits0 = Cache.Hits, Misses0 = Cache.Misses;
+      completion::AflStats Got;
+      solver::SolveResult GotSol;
+      Completion GotC = completion::aflCompletion(
+          *P, &Got, constraints::GenOptions(), solver::SolveOptions(),
+          closure::ClosureOptions(), &Cache, &GotSol);
+      EXPECT_EQ(printRegionProgram(*P, &GotC), WantText);
+      EXPECT_EQ(GotSol.Sat, WantSol.Sat);
+      EXPECT_EQ(GotSol.StateDom, WantSol.StateDom);
+      EXPECT_EQ(GotSol.BoolDom, WantSol.BoolDom);
+      expectSameAnalysis(Got, Want);
+      EXPECT_EQ((Cache.Hits - Hits0) + (Cache.Misses - Misses0),
+                Got.Sharding.Shards);
+      if (Warm) {
+        EXPECT_EQ(Cache.Hits - Hits0, Got.Sharding.Shards);
+      } else {
+        EXPECT_GT(Cache.Misses - Misses0, 0u);
+      }
+    }
+  }
+}
+
+TEST(Afl, DriverResetsCallerStats) {
+  // The server keeps one AflStats per document across edits: a run that
+  // stops early must not leave the previous run's numbers behind.
+  auto P = infer(programs::fibSource(5));
+  completion::AflStats Stats;
+  solver::SolveResult Sol;
+  completion::aflCompletion(*P, &Stats, constraints::GenOptions(),
+                            solver::SolveOptions(), closure::ClosureOptions(),
+                            nullptr, &Sol);
+  ASSERT_TRUE(Stats.Solved);
+  ASSERT_GT(Stats.NumConstraints, 0u);
+  ASSERT_FALSE(Sol.StateDom.empty());
+
+  closure::ClosureOptions Capped;
+  Capped.MaxSteps = 2;
+  Completion C =
+      completion::aflCompletion(*P, &Stats, constraints::GenOptions(),
+                                solver::SolveOptions(), Capped, nullptr, &Sol);
+  EXPECT_FALSE(Stats.Closure.Converged);
+  EXPECT_EQ(Stats.NumConstraints, 0u);
+  EXPECT_EQ(Stats.NumStateVars, 0u);
+  EXPECT_EQ(Stats.Sharding.Shards, 0u);
+  EXPECT_FALSE(Stats.Solved);
+  EXPECT_FALSE(Sol.Sat);
+  EXPECT_TRUE(Sol.StateDom.empty());
+  EXPECT_TRUE(Sol.BoolDom.empty());
+  // The fallback is the conservative completion.
+  Completion Conservative = completion::conservativeCompletion(*P);
+  EXPECT_EQ(printRegionProgram(*P, &C),
+            printRegionProgram(*P, &Conservative));
 }
 
 TEST(Completion, NumOpsCounts) {

@@ -63,16 +63,36 @@ TEST(EscapePool, ListOfClosuresAppliedInLoop) {
 }
 
 TEST(EscapePool, PinnedCallsReported) {
-  // A closure reaching a call through the pool may require pinning; the
-  // stats must expose it (0 is fine when colors align, but the field is
-  // populated either way).
-  driver::PipelineResult R = driver::runPipeline(
-      "let p = (fn x => x + 1, 5) in (fst p) (snd p) end");
-  ASSERT_TRUE(R.ok());
-  EXPECT_TRUE(R.Analysis.Solved);
-  // NumPinnedCalls is well-defined (may be zero if the color sets
-  // happened to coincide).
-  SUCCEED() << "pinned calls: " << R.Analysis.NumPinnedCalls;
+  // A closure reaching a call through the pool may require pinning. The
+  // first program's colors align (nothing to pin); the second stores a
+  // closure in a pair inside a recursive function, and its calls through
+  // the pool get pinned. Either way the count reaches --metrics.
+  struct Case {
+    const char *Source;
+    const char *Result;
+    bool Pins;
+  };
+  const Case Cases[] = {
+      {"let p = (fn x => x + 1, 5) in (fst p) (snd p) end", "6", false},
+      {"letrec f n = if n <= 0 then 1 else (let p = (fn a => a + 4, 25) in "
+       "(fst p) (snd p) end) + f (n - 1) in f 2 end",
+       "59", true},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Source);
+    checkSoundAndCorrect(C.Source, C.Result);
+    driver::PipelineResult R = driver::runPipeline(C.Source);
+    ASSERT_TRUE(R.ok()) << R.Diags.str();
+    EXPECT_TRUE(R.Analysis.Solved);
+    if (C.Pins) {
+      EXPECT_GT(R.Analysis.NumPinnedCalls, 0u);
+    }
+    MetricsRegistry Reg;
+    R.recordMetrics(Reg);
+    ASSERT_TRUE(Reg.has("stages/constraint_gen/pinned_calls"));
+    EXPECT_EQ(Reg.counter("stages/constraint_gen/pinned_calls"),
+              R.Analysis.NumPinnedCalls);
+  }
 }
 
 } // namespace

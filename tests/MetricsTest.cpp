@@ -1,8 +1,10 @@
 // Unit tests for the observability primitives (support/Metrics.h):
 // stopwatch monotonicity, counter/timer aggregation, scope nesting,
-// merging, and the JSON serializer (stable order, escaping).
+// merging, and the JSON rendering (stable order, escaping).
 
 #include "support/Metrics.h"
+
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 
@@ -246,11 +248,16 @@ TEST(Metrics, JsonEmptyRegistry) {
 }
 
 TEST(Metrics, JsonEscaping) {
-  EXPECT_EQ(MetricsRegistry::escapeJson("plain"), "plain");
-  EXPECT_EQ(MetricsRegistry::escapeJson("a\"b"), "a\\\"b");
-  EXPECT_EQ(MetricsRegistry::escapeJson("a\\b"), "a\\\\b");
-  EXPECT_EQ(MetricsRegistry::escapeJson("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(MetricsRegistry::escapeJson(std::string("\x01", 1)), "\\u0001");
+  auto Quoted = [](std::string_view S) {
+    std::string O;
+    json::appendString(O, S);
+    return O;
+  };
+  EXPECT_EQ(Quoted("plain"), "\"plain\"");
+  EXPECT_EQ(Quoted("a\"b"), "\"a\\\"b\"");
+  EXPECT_EQ(Quoted("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(Quoted("a\nb\tc"), "\"a\\nb\\tc\"");
+  EXPECT_EQ(Quoted(std::string("\x01", 1)), "\"\\u0001\"");
 
   // Names needing escapes survive the serializer (e.g. batch files with
   // odd characters).

@@ -72,9 +72,8 @@ const json::Value *dig(const json::Value &Resp,
 }
 
 std::string jquote(const std::string &S) {
-  std::string O = "\"";
-  O += MetricsRegistry::escapeJson(S);
-  O += '"';
+  std::string O;
+  json::appendString(O, S);
   return O;
 }
 
@@ -102,9 +101,9 @@ std::string domainString(const std::vector<uint8_t> &Dom) {
 }
 
 /// The from-scratch oracle: front end + closure + constraints + plain
-/// (uncached) solve + extraction, mirroring completion::aflCompletion's
-/// fallbacks exactly as the server does, plus the A-F-L run `query run`
-/// answers with.
+/// (uncached) solve + extraction, with completion::aflCompletion's
+/// fallbacks written out by hand (the server calls aflCompletion itself,
+/// through its shard cache), plus the A-F-L run `query run` answers with.
 struct Oracle {
   bool FrontOk = false;
   std::string Report;
@@ -117,7 +116,8 @@ struct Oracle {
 Oracle oracleFor(const std::string &Source) {
   Oracle O;
   DiagnosticEngine Diags;
-  driver::FrontEnd F = driver::runFrontEnd(Source, Diags);
+  driver::PipelineStats Times;
+  driver::FrontEnd F = driver::runFrontEnd(Source, Diags, Times);
   if (!F.ok())
     return O;
   O.FrontOk = true;
@@ -311,6 +311,81 @@ TEST(ServerProtocol, TimingsPresentOnEveryResponse) {
     ASSERT_NE(Total, nullptr) << Req;
     EXPECT_TRUE(Total->isInt()) << Req;
   }
+}
+
+TEST(ServerProtocol, TimingsShapePerRequestKind) {
+  // `timings` is the last member of every response: perfbench and the
+  // byte comparisons here cut it off with rfind. A request that ran the
+  // front end carries the five stage keys before total_us, and the four
+  // analysis keys read 0 when no analysis ran (reuse tier, front-end
+  // failure). Queries and closes carry total_us alone.
+  const std::vector<std::string> Staged = {"frontend_us", "closure_us",
+                                           "congen_us",   "solve_us",
+                                           "extract_us",  "total_us"};
+  const std::vector<std::string> TotalOnly = {"total_us"};
+  driver::Session S;
+  auto Check = [&](const std::string &Request,
+                   const std::vector<std::string> &Keys, bool Analyzed) {
+    SCOPED_TRACE(Request);
+    std::string Response = S.handleLine(Request);
+    json::Value R;
+    std::string Error;
+    EXPECT_TRUE(json::parseJson(Response, R, Error)) << Error;
+    EXPECT_NE(Response.rfind(",\"timings\":{"), std::string::npos);
+    if (R.members().empty() || R.members().back().first != "timings") {
+      ADD_FAILURE() << "timings is not the last member: " << Response;
+      return R;
+    }
+    const json::Value &T = R.members().back().second;
+    std::vector<std::string> Got;
+    for (const auto &[Key, V] : T.members())
+      Got.push_back(Key);
+    EXPECT_EQ(Got, Keys) << Response;
+    if (Keys == Staged && !Analyzed) {
+      for (const char *Key :
+           {"closure_us", "congen_us", "solve_us", "extract_us"}) {
+        EXPECT_EQ(T.find(Key)->asInt(-1), 0) << Key << " in " << Response;
+      }
+    }
+    return R;
+  };
+
+  // "let x = 1 in x + 2 end": the literal 1 is at byte 8, the + at 15.
+  json::Value Open = Check(
+      "{\"method\":\"open\",\"params\":{\"source\":\"let x = 1 in x + 2 "
+      "end\"}}",
+      Staged, true);
+  ASSERT_TRUE(okOf(Open));
+  const std::string Doc =
+      std::to_string(dig(Open, {"result", "doc"})->asInt());
+  auto Edit = [&](int Start, const char *Text) {
+    return "{\"method\":\"edit\",\"params\":{\"doc\":" + Doc +
+           ",\"start\":" + std::to_string(Start) +
+           ",\"length\":1,\"text\":\"" + Text + "\"}}";
+  };
+  json::Value Full = Check(Edit(15, "*"), Staged, true);
+  EXPECT_EQ(dig(Full, {"result", "tier"})->asString(), "full");
+  json::Value Reuse = Check(Edit(8, "5"), Staged, false);
+  EXPECT_EQ(dig(Reuse, {"result", "tier"})->asString(), "reuse");
+  EXPECT_FALSE(okOf(Check(Edit(15, "* *"), Staged, false)));
+  EXPECT_FALSE(okOf(Check(
+      "{\"method\":\"open\",\"params\":{\"source\":\"1 + true\"}}", Staged,
+      false)));
+
+  // No front end ran: total_us alone, errors included.
+  for (const char *What : {"report", "domains", "run"})
+    EXPECT_TRUE(okOf(Check("{\"method\":\"query\",\"params\":{\"doc\":" +
+                               Doc + ",\"what\":\"" + What + "\"}}",
+                           TotalOnly, false)));
+  EXPECT_TRUE(okOf(Check(
+      "{\"method\":\"query\",\"params\":{\"what\":\"metrics\"}}", TotalOnly,
+      false)));
+  EXPECT_FALSE(okOf(Check("{\"method\":\"open\",\"params\":{}}", TotalOnly,
+                          false)));
+  EXPECT_FALSE(okOf(Check("garbage", TotalOnly, false)));
+  EXPECT_TRUE(okOf(Check("{\"method\":\"close\",\"params\":{\"doc\":" + Doc +
+                             "}}",
+                         TotalOnly, false)));
 }
 
 TEST(ServerProtocol, MetricsArenaPoolKeysMatchAflcMetrics) {

@@ -425,4 +425,58 @@ TEST(JsonNumbers, DoublesStillCoverTheWideRange) {
   EXPECT_FALSE(V.isInt());
 }
 
+//===----------------------------------------------------------------------===//
+// JSON writer: the one renderer behind --metrics and every server response.
+//===----------------------------------------------------------------------===//
+
+TEST(JsonWriter, NestedObjectsEscapingAndRaw) {
+  auto Render = [](bool Pretty) {
+    std::string O;
+    json::Writer W(O, Pretty);
+    W.beginObject();
+    W.key("empty").beginObject().endObject();
+    W.key("n").integer(INT64_MAX);
+    W.key("id").integer(int64_t{-7});
+    W.key("k\"ey").string("a\"b\\c\n\x01");
+    W.key("t").seconds(0.25);
+    W.key("inner").beginObject();
+    W.key("ok").boolean(true);
+    W.key("no").boolean(false);
+    W.key("raw").raw(R"({"x":[1,2]})");
+    W.endObject();
+    W.endObject();
+    return O;
+  };
+  EXPECT_EQ(Render(false),
+            R"({"empty":{},"n":9223372036854775807,"id":-7,)"
+            R"("k\"ey":"a\"b\\c\n\u0001","t":0.250000000,)"
+            R"("inner":{"ok":true,"no":false,"raw":{"x":[1,2]}}})");
+  EXPECT_EQ(Render(true), "{\n"
+                          "  \"empty\": {},\n"
+                          "  \"n\": 9223372036854775807,\n"
+                          "  \"id\": -7,\n"
+                          "  \"k\\\"ey\": \"a\\\"b\\\\c\\n\\u0001\",\n"
+                          "  \"t\": 0.250000000,\n"
+                          "  \"inner\": {\n"
+                          "    \"ok\": true,\n"
+                          "    \"no\": false,\n"
+                          "    \"raw\": {\"x\":[1,2]}\n"
+                          "  }\n"
+                          "}");
+
+  // The compact rendering reads back through the parser, escapes and all.
+  json::Value V;
+  std::string E;
+  ASSERT_TRUE(json::parseJson(Render(false), V, E)) << E;
+  ASSERT_NE(V.find("k\"ey"), nullptr);
+  EXPECT_EQ(V.find("k\"ey")->asString(), "a\"b\\c\n\x01");
+
+  // An empty top-level object is "{}" in both modes.
+  for (bool Pretty : {false, true}) {
+    std::string O;
+    json::Writer(O, Pretty).beginObject().endObject();
+    EXPECT_EQ(O, "{}");
+  }
+}
+
 } // namespace

@@ -72,8 +72,9 @@ using namespace afl;
 namespace {
 
 /// Version of the `--metrics` JSON schema: bumped whenever a key is
-/// removed or changes meaning (docs/OBSERVABILITY.md).
-constexpr unsigned MetricsSchemaVersion = 4;
+/// removed or changes meaning, or a counter is added whose absence a
+/// reader could take for 0 (docs/OBSERVABILITY.md).
+constexpr unsigned MetricsSchemaVersion = 5;
 
 void usage() {
   std::fprintf(

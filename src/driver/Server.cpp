@@ -2,6 +2,7 @@
 
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <csignal>
 #include <cstring>
 #include <istream>
@@ -32,6 +33,7 @@ std::string oversizeMessage(size_t Cap) {
 int Server::run(std::istream &In, std::ostream &Out, size_t MaxRequestBytes) {
   Session S;
   LineSplitter Split(MaxRequestBytes);
+  std::streambuf &Src = *In.rdbuf();
   char Buf[4096];
   bool Eof = false;
   while (!S.shutdownRequested()) {
@@ -40,14 +42,22 @@ int Server::run(std::istream &In, std::ostream &Out, size_t MaxRequestBytes) {
     if (It == LineSplitter::Item::None) {
       if (Eof)
         break;
-      In.read(Buf, sizeof(Buf));
-      std::streamsize N = In.gcount();
-      if (N > 0) {
-        Split.feed(Buf, static_cast<size_t>(N));
-      } else {
+      // Block for one byte only, then take what the stream already
+      // buffers: a request is answered once its newline arrives, not
+      // when a buffer fills or the stream ends.
+      int C = Src.sbumpc();
+      if (C == std::char_traits<char>::eof()) {
         Split.finish();
         Eof = true;
+        continue;
       }
+      Buf[0] = static_cast<char>(C);
+      std::streamsize N = 1;
+      std::streamsize Avail = Src.in_avail();
+      if (Avail > 0)
+        N += Src.sgetn(Buf + 1, std::min<std::streamsize>(
+                                    Avail, sizeof(Buf) - 1));
+      Split.feed(Buf, static_cast<size_t>(N));
       continue;
     }
     if (It == LineSplitter::Item::Oversize) {

@@ -60,10 +60,11 @@ struct ServeOptions {
 class Server {
 public:
   /// Serves newline-delimited requests from \p In to \p Out until EOF or
-  /// a `shutdown` request, through one Session. Returns the process exit
-  /// code (0). Framing matches the socket transport: CRLF stripped,
-  /// requests over \p MaxRequestBytes answered with a protocol error, a
-  /// final unterminated line at EOF still processed.
+  /// a `shutdown` request, through one Session, answering each request as
+  /// soon as its line has arrived. Returns the process exit code (0).
+  /// Framing matches the socket transport: CRLF stripped, requests over
+  /// \p MaxRequestBytes answered with a protocol error, a final
+  /// unterminated line at EOF still processed.
   int run(std::istream &In, std::ostream &Out,
           size_t MaxRequestBytes = Session::DefaultMaxRequestBytes);
 

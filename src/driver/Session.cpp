@@ -407,6 +407,20 @@ std::string Session::handleQuery(const json::Value &Params,
     // Process-wide arena-pool counters: every open/edit leases its AST
     // and region-IR arenas from the pool (docs/OBSERVABILITY.md).
     recordMemoryMetrics(Reg);
+    {
+      // This session's shard caches: each holds the shards its
+      // document's latest solve used.
+      MetricScope Mem(Reg, "memory");
+      MetricScope Cache(Reg, "shard_cache");
+      uint64_t Entries = 0, Bytes = 0;
+      for (const auto &[Id, Doc] : Docs) {
+        Entries += Doc.Cache.Entries.size();
+        Bytes += Doc.Cache.bytes();
+      }
+      Reg.set("documents", Docs.size());
+      Reg.set("entries", Entries);
+      Reg.set("bytes", Bytes);
+    }
     W.raw(Reg.json(false)).endObject();
     return O;
   }

@@ -564,8 +564,10 @@ SolveResult solver::solveCached(const ConstraintSystem &Sys,
 
   Stopwatch Watch;
   SolveResult R;
+  const uint64_t Call = ++Cache.Calls;
 
   if (hasEmptyDomain(Sys)) {
+    Cache.Entries.clear(); // this call uses no entry
     R.Seconds = Watch.seconds();
     return R;
   }
@@ -606,7 +608,8 @@ SolveResult solver::solveCached(const ConstraintSystem &Sys,
       }
       It = Cache.Entries.emplace(Key, std::move(E)).first;
     }
-    const ShardSolutionCache::Entry &E = It->second;
+    ShardSolutionCache::Entry &E = It->second;
+    E.LastUse = Call;
     if (!E.Sat) {
       Sat = false;
       break;
@@ -617,7 +620,17 @@ SolveResult solver::solveCached(const ConstraintSystem &Sys,
       R.BoolDom[Bools.begin()[L]] = E.BoolDom[L];
   }
 
+  // One generation: drop what this call did not use.
+  std::erase_if(Cache.Entries,
+                [Call](const auto &KV) { return KV.second.LastUse != Call; });
   finishSharded(Sys, Sharded, Sat, R);
   R.Seconds = Watch.seconds();
   return R;
+}
+
+size_t ShardSolutionCache::bytes() const {
+  size_t N = 0;
+  for (const auto &[Key, E] : Entries)
+    N += Key.size() + E.StateDom.size() + E.BoolDom.size();
+  return N;
 }

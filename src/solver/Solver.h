@@ -97,8 +97,15 @@ std::string checkSolution(const constraints::ConstraintSystem &Sys,
 /// content is unchanged across a re-analysis — regardless of how global
 /// variable ids shifted — replays its solved domains without touching
 /// the simplifier or the solver. Entries record unsatisfiable shards
-/// too. The cache only grows; documents are the intended owner and a
-/// document's shard population is bounded by its program size.
+/// too.
+///
+/// The cache holds one generation: when a solveCached call returns, it
+/// keeps exactly the entries that call used (a hit, or a fresh solve it
+/// inserted), so a document holds memory in proportion to its latest
+/// solved revision, not its edit history. An edit back to an older text
+/// re-solves the shards the last revision did not use; on the
+/// serve-edits benchmark that lowers the shard reuse ratio from 0.863
+/// to 0.860 (docs/SOLVER.md).
 struct ShardSolutionCache {
   struct Entry {
     bool Sat = false;
@@ -106,22 +113,30 @@ struct ShardSolutionCache {
     /// ConstraintSystem::shardStates / shardBools).
     std::vector<uint8_t> StateDom;
     std::vector<uint8_t> BoolDom;
+    /// The solveCached call (a value of Calls) that last used the entry.
+    uint64_t LastUse = 0;
   };
   std::unordered_map<std::string, Entry> Entries;
   /// Cumulative counters (the server reports per-request deltas).
   uint64_t Hits = 0;
   uint64_t Misses = 0;
+  /// solveCached calls made on the sharded path so far.
+  uint64_t Calls = 0;
+
+  /// Key plus stored-domain bytes over every entry.
+  size_t bytes() const;
 };
 
 /// Like solve(), but each shard is first looked up in \p Cache and only
 /// cache misses are simplified and solved (on one workspace, like the
-/// groups of solve(); new solutions are inserted). Produces
+/// groups of solve(); new solutions are inserted). On return \p Cache
+/// holds only the entries this call used. Produces
 /// bit-identical domains to solve(): shards share no variables, so
 /// per-shard resolution is the exact concatenation of the grouped path
 /// (docs/SOLVER.md). Work counters (propagations, simplify stats) cover
-/// only the shards actually solved. Falls back to plain solve() when
-/// Options disable Simplify (the cache is keyed on shard content, which
-/// only exists on the sharded path).
+/// only the shards actually solved. Falls back to plain solve(), leaving
+/// \p Cache untouched, when Options disable Simplify (the cache is keyed
+/// on shard content, which only exists on the sharded path).
 SolveResult solveCached(const constraints::ConstraintSystem &Sys,
                         const SolveOptions &Options,
                         ShardSolutionCache &Cache);

@@ -26,13 +26,18 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <sys/socket.h>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 using namespace afl;
@@ -713,6 +718,57 @@ TEST(ServerIncrementality, WarmEditsReuseAnalysisOrShards) {
   EXPECT_GT(dig(E2, {"result", "analysis", "shards_reused"})->asInt(), 0);
 }
 
+TEST(ServerProtocol, ShardCacheHoldsTheLiveRevision) {
+  // A document's shard cache keeps only the shards its latest solve used,
+  // so across structural edits it never holds more entries than the live
+  // revision has shards, and closing the document frees it.
+  driver::Session S;
+  std::string Text = programs::quicksortSource(8);
+  int64_t Doc = -1;
+  ASSERT_TRUE(okOf(openDoc(S, Text, &Doc)));
+  auto CacheMetric = [&](const char *Leaf) {
+    json::Value M =
+        call(S, "{\"method\":\"query\",\"params\":{\"what\":\"metrics\"}}");
+    const json::Value *V =
+        dig(M, {"result", "metrics", "memory", "shard_cache", Leaf});
+    EXPECT_NE(V, nullptr) << Leaf;
+    return V ? V->asInt(-1) : -1;
+  };
+  EXPECT_EQ(CacheMetric("documents"), 1);
+
+  int FullEdits = 0;
+  for (int E = 0; E != 10; ++E) {
+    std::vector<std::pair<size_t, size_t>> Tokens = literalTokens(Text);
+    ASSERT_FALSE(Tokens.empty());
+    auto [Pos, Len] = Tokens[(E * 7) % Tokens.size()];
+    std::string Sub = "(";
+    Sub.append(Text, Pos, Len).append(" + ").append(std::to_string(E + 1));
+    Sub += ')';
+    json::Value R =
+        call(S, "{\"method\":\"edit\",\"params\":{\"doc\":" +
+                    std::to_string(Doc) + ",\"start\":" + std::to_string(Pos) +
+                    ",\"length\":" + std::to_string(Len) +
+                    ",\"text\":" + jquote(Sub) + "}}");
+    ASSERT_TRUE(okOf(R)) << "edit " << E;
+    Text.replace(Pos, Len, Sub);
+    if (dig(R, {"result", "tier"})->asString() != "full")
+      continue;
+    ++FullEdits;
+    const int64_t Entries = CacheMetric("entries");
+    EXPECT_GT(Entries, 0) << "edit " << E;
+    EXPECT_LE(Entries, dig(R, {"result", "analysis", "shards"})->asInt())
+        << "edit " << E;
+    EXPECT_GT(CacheMetric("bytes"), 0) << "edit " << E;
+  }
+  EXPECT_EQ(FullEdits, 10);
+
+  call(S, "{\"method\":\"close\",\"params\":{\"doc\":" + std::to_string(Doc) +
+              "}}");
+  EXPECT_EQ(CacheMetric("documents"), 0);
+  EXPECT_EQ(CacheMetric("entries"), 0);
+  EXPECT_EQ(CacheMetric("bytes"), 0);
+}
+
 //===----------------------------------------------------------------------===//
 // Function-body edits: replacing the body of a lambda or letrec takes the
 // full tier and answers with a fresh open's report and domains.
@@ -945,6 +1001,101 @@ TEST(ServerStdio, OversizedRequestGetsProtocolError) {
   EXPECT_TRUE(okOf(R[1]));
   EXPECT_EQ(dig(R[1], {"result", "metrics", "errors"})->asInt(), 1);
   EXPECT_EQ(dig(R[1], {"result", "metrics", "requests"})->asInt(), 2);
+}
+
+/// An input streambuf over a file descriptor whose underflow returns what
+/// one read(2) delivers, the way a pipe feeds `aflc --serve`.
+class FdInBuf : public std::streambuf {
+public:
+  explicit FdInBuf(int Fd) : Fd(Fd) {}
+
+protected:
+  int_type underflow() override {
+    ssize_t N;
+    do
+      N = ::read(Fd, Buf, sizeof(Buf));
+    while (N < 0 && errno == EINTR);
+    if (N <= 0)
+      return traits_type::eof();
+    setg(Buf, Buf, Buf + N);
+    return traits_type::to_int_type(Buf[0]);
+  }
+
+private:
+  int Fd;
+  char Buf[256];
+};
+
+/// An output streambuf that publishes its text at every flush, for a
+/// reader on another thread.
+class FlushedText : public std::stringbuf {
+public:
+  /// Waits up to \p Timeout for \p N complete lines; returns the text
+  /// flushed so far either way.
+  std::string waitForLines(size_t N, std::chrono::milliseconds Timeout) {
+    std::unique_lock<std::mutex> Lock(M);
+    CV.wait_for(Lock, Timeout, [&] {
+      return static_cast<size_t>(
+                 std::count(Text.begin(), Text.end(), '\n')) >= N;
+    });
+    return Text;
+  }
+
+protected:
+  int sync() override {
+    std::lock_guard<std::mutex> Lock(M);
+    Text = str();
+    CV.notify_all();
+    return 0;
+  }
+
+private:
+  std::mutex M;
+  std::condition_variable CV;
+  std::string Text;
+};
+
+TEST(ServerStdio, AnswersEachRequestBeforeEof) {
+  // A client that writes one request to the pipe and waits for its reply
+  // must get it while the pipe stays open; the final unterminated line is
+  // still answered once the pipe closes.
+  int Fds[2];
+  ASSERT_EQ(::pipe(Fds), 0);
+  FdInBuf InBuf(Fds[0]);
+  std::istream In(&InBuf);
+  FlushedText OutBuf;
+  std::ostream Out(&OutBuf);
+  std::thread Serving([&] { driver::Server().run(In, Out); });
+
+  auto Send = [&](const std::string &Bytes) {
+    EXPECT_EQ(::write(Fds[1], Bytes.data(), Bytes.size()),
+              static_cast<ssize_t>(Bytes.size()));
+  };
+  const auto Timeout = std::chrono::seconds(10);
+  Send("{\"id\":1,\"method\":\"query\",\"params\":{\"what\":\"metrics\"}}\n");
+  EXPECT_NE(OutBuf.waitForLines(1, Timeout).find("\"id\":1"),
+            std::string::npos)
+      << "no response to a request while the pipe is open";
+  Send("{\"id\":2,\"method\":\"open\",\"params\":{\"source\":\"1 + 2\"}}\n");
+  EXPECT_NE(OutBuf.waitForLines(2, Timeout).find("\"id\":2"),
+            std::string::npos)
+      << "no response to the second request while the pipe is open";
+  Send("{\"id\":3,\"method\":\"query\",\"params\":{\"what\":\"metrics\"}}");
+  ::close(Fds[1]);
+  Serving.join();
+  ::close(Fds[0]);
+
+  std::istringstream Lines(OutBuf.waitForLines(3, Timeout));
+  std::string Line;
+  int64_t Id = 0;
+  while (std::getline(Lines, Line)) {
+    json::Value V;
+    std::string Error;
+    ASSERT_TRUE(json::parseJson(Line, V, Error)) << Error << " in: " << Line;
+    EXPECT_TRUE(okOf(V)) << Line;
+    EXPECT_EQ(V.find("id")->asInt(), ++Id);
+  }
+  EXPECT_EQ(Id, 3);
 }
 
 TEST(ServerStdio, MetricsHaveNoConnectionsObject) {

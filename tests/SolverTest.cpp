@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <set>
+#include <string>
+#include <vector>
+
 using namespace afl;
 using namespace afl::constraints;
 using namespace afl::solver;
@@ -299,6 +305,68 @@ TEST(Solver, UnsatShardFailsWholeSystem) {
   EXPECT_FALSE(solveCached(Sys, SolveOptions(), Cache).Sat);
   EXPECT_FALSE(solveCached(Sys, SolveOptions(), Cache).Sat);
   EXPECT_GT(Cache.Hits, 0u);
+}
+
+/// Pinned chains of the given lengths, one shard each; chains of equal
+/// length are identical shards.
+ConstraintSystem chainsOfLengths(std::initializer_list<int> Lengths) {
+  ConstraintSystem Sys;
+  for (int Len : Lengths) {
+    StateVarId Prev = Sys.newState(StU);
+    for (int I = 0; I != Len; ++I) {
+      StateVarId Next = Sys.newState();
+      Sys.addAllocTriple(Prev, Sys.newBool(), Next);
+      Prev = Next;
+    }
+    Sys.restrictState(Prev, StA);
+  }
+  return Sys;
+}
+
+TEST(Solver, ShardCacheHoldsOneGeneration) {
+  // B is A with its length-5 chain replaced by a length-6 one. After each
+  // call the cache holds exactly the distinct shards of the system just
+  // solved, so going back from B to A re-solves the shard only A has.
+  const ConstraintSystem A = chainsOfLengths({3, 4, 4, 5});
+  const ConstraintSystem B = chainsOfLengths({3, 4, 4, 6});
+  ASSERT_EQ(A.numShards(), 4u);
+  ASSERT_EQ(B.numShards(), 4u);
+  auto Keys = [](const ShardSolutionCache &C) {
+    std::set<std::string> K;
+    for (const auto &KV : C.Entries)
+      K.insert(KV.first);
+    return K;
+  };
+  ShardSolutionCache Cache;
+  auto SolveAndCheck = [&](const ConstraintSystem &Sys, const char *Name) {
+    SolveResult Cached = solveCached(Sys, SolveOptions(), Cache);
+    SolveResult Plain = solve(Sys);
+    ASSERT_TRUE(Cached.Sat) << Name;
+    EXPECT_EQ(Cached.StateDom, Plain.StateDom) << Name;
+    EXPECT_EQ(Cached.BoolDom, Plain.BoolDom) << Name;
+    EXPECT_EQ(checkSolution(Sys, Cached), "") << Name;
+  };
+
+  SolveAndCheck(A, "A");
+  EXPECT_EQ(Cache.Misses, 3u);
+  EXPECT_EQ(Cache.Hits, 1u);
+  const std::set<std::string> KeysA = Keys(Cache);
+  EXPECT_EQ(KeysA.size(), 3u);
+
+  SolveAndCheck(B, "B");
+  EXPECT_EQ(Cache.Misses, 4u);
+  EXPECT_EQ(Cache.Hits, 4u);
+  const std::set<std::string> KeysB = Keys(Cache);
+  EXPECT_EQ(KeysB.size(), 3u);
+  std::vector<std::string> Shared;
+  std::set_intersection(KeysA.begin(), KeysA.end(), KeysB.begin(),
+                        KeysB.end(), std::back_inserter(Shared));
+  EXPECT_EQ(Shared.size(), 2u);
+
+  SolveAndCheck(A, "A again");
+  EXPECT_EQ(Cache.Misses, 5u);
+  EXPECT_EQ(Cache.Hits, 7u);
+  EXPECT_EQ(Keys(Cache), KeysA);
 }
 
 TEST(Solver, ShardedHandlesUnconstrainedVariables) {

@@ -422,8 +422,13 @@ int main(int Argc, char **Argv) {
 
   if (Serve) {
     driver::Server S;
-    if (!Listen)
+    if (!Listen) {
+      // Unsynced with stdio, std::cin reads what the pipe holds in one
+      // read(2) and reports it through in_avail, so Server::run takes
+      // whole chunks rather than one byte per call.
+      std::ios::sync_with_stdio(false);
       return S.run(std::cin, std::cout);
+    }
     std::string Error;
     if (!S.listen(ServeOpts, Error)) {
       std::fprintf(stderr, "aflc: cannot listen on port %u: %s\n",

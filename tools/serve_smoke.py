@@ -2,7 +2,8 @@
 """CI smoke test for `aflc --serve` (docs/SERVER.md).
 
 Plays the checked-in request transcript `serve_session.txt` against a
-freshly spawned server and compares each response line to
+freshly spawned server, one request at a time (each response is read
+before the next request is sent), and compares each response line to
 `serve_session.golden`. Responses are canonicalized before comparison:
 parsed as JSON, every volatile *scope* (see VOLATILE_SCOPES) stripped
 wherever it nests, and re-serialized with sorted keys. Everything else —
@@ -27,6 +28,7 @@ import json
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -82,19 +84,42 @@ def canonicalize(line):
 
 
 def run_stdio(aflc, reqs):
-    """One stdio server run; returns its raw response lines."""
-    proc = subprocess.run(
+    """One stdio server run; returns its raw response lines.
+
+    Like the socket mode, each request is written and its response read
+    before the next goes out: the server must answer a line while its
+    stdin stays open, not only at EOF.
+    """
+    proc = subprocess.Popen(
         [aflc, "--serve"],
-        input="\n".join(reqs) + "\n",
-        capture_output=True,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
-        timeout=120,
     )
+    # A server that never answers is killed, which ends the readline.
+    watchdog = threading.Timer(120, proc.kill)
+    watchdog.start()
+    try:
+        responses = []
+        for req in reqs:
+            proc.stdin.write(req + "\n")
+            proc.stdin.flush()
+            line = proc.stdout.readline()
+            if not line:
+                sys.exit(f"serve_smoke: no response to: {req}")
+            responses.append(line.rstrip("\n"))
+        # Anything the server prints after the last response counts as an
+        # extra response.
+        rest, err = proc.communicate(timeout=30)
+    finally:
+        watchdog.cancel()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
     if proc.returncode != 0:
-        sys.exit(
-            f"serve_smoke: server exited with {proc.returncode}\n{proc.stderr}"
-        )
-    return [l for l in proc.stdout.splitlines() if l.strip()]
+        sys.exit(f"serve_smoke: server exited with {proc.returncode}\n{err}")
+    return responses + [l for l in rest.splitlines() if l.strip()]
 
 
 def run_socket(aflc, reqs):

@@ -289,6 +289,20 @@ FrontEnd driver::runFrontEnd(std::string_view Source, DiagnosticEngine &Diags,
   return F;
 }
 
+bool driver::checkRunsAgree(const interp::RunResult &Conservative,
+                            const interp::RunResult &Afl,
+                            const interp::RefResult &Reference,
+                            DiagnosticEngine &Diags) {
+  if (Conservative.ResultText == Reference.ResultText &&
+      Afl.ResultText == Reference.ResultText)
+    return true;
+  Diags.error(SourceLoc(), "result mismatch: conservative run gave " +
+                               Conservative.ResultText + ", A-F-L run gave " +
+                               Afl.ResultText + ", reference run gave " +
+                               Reference.ResultText);
+  return false;
+}
+
 PipelineResult driver::runPipeline(std::string_view Source,
                                    const PipelineOptions &Options) {
   PipelineResult R;
@@ -341,16 +355,17 @@ PipelineResult driver::runPipeline(std::string_view Source,
       R.Stats.TotalSeconds = Total.seconds();
       return R;
     }
-    if (!Options.SkipReference) {
-      Watch.reset();
-      R.Reference = interp::runRef(R.Ast, *R.Ctx, Options.MaxSteps);
-      R.Stats.RunReferenceSeconds = Watch.seconds();
-      if (!R.Reference.Ok) {
-        R.Diags.error(SourceLoc(),
-                      "reference run failed: " + R.Reference.Error);
-        R.Stats.TotalSeconds = Total.seconds();
-        return R;
-      }
+    Watch.reset();
+    R.Reference = interp::runRef(R.Ast, *R.Ctx, Options.MaxSteps);
+    R.Stats.RunReferenceSeconds = Watch.seconds();
+    if (!R.Reference.Ok) {
+      R.Diags.error(SourceLoc(), "reference run failed: " + R.Reference.Error);
+      R.Stats.TotalSeconds = Total.seconds();
+      return R;
+    }
+    if (!checkRunsAgree(R.Conservative, R.Afl, R.Reference, R.Diags)) {
+      R.Stats.TotalSeconds = Total.seconds();
+      return R;
     }
   }
 

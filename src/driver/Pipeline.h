@@ -3,8 +3,9 @@
 /// \file
 /// The public pipeline facade: source text → parse → ML types → T-T
 /// region inference → {conservative, A-F-L} completions → instrumented
-/// runs. This is the API examples, tests and benchmarks use. Each stage
-/// time is written once, by the code that times it.
+/// runs, whose values must match the reference interpreter's. This is the
+/// API examples, tests and benchmarks use. Each stage time is written
+/// once, by the code that times it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,10 +34,8 @@ struct PipelineOptions {
   bool RecordTrace = false;
   /// Step limit for each instrumented run.
   uint64_t MaxSteps = 200'000'000;
-  /// Skip the two instrumented runs (analysis only).
+  /// Skip the three runs (analysis only).
   bool SkipRuns = false;
-  /// Skip the reference (oracle) run.
-  bool SkipReference = false;
   /// Choice-point generation switches (ablations).
   constraints::GenOptions GenOptions;
   /// Production solve or the raw oracle (`aflc --no-simplify`).
@@ -135,6 +134,15 @@ FrontEnd runFrontEnd(std::string_view Source, DiagnosticEngine &Diags,
 /// Runs the full pipeline on \p Source.
 PipelineResult runPipeline(std::string_view Source,
                            const PipelineOptions &Options = PipelineOptions());
+
+/// The pipeline's check of its three runs: true when the conservative and
+/// A-F-L runs rendered the reference run's value. Otherwise reports a
+/// "result mismatch" error naming the three values to \p Diags and
+/// returns false.
+bool checkRunsAgree(const interp::RunResult &Conservative,
+                    const interp::RunResult &Afl,
+                    const interp::RefResult &Reference,
+                    DiagnosticEngine &Diags);
 
 /// Shared emission routine behind PipelineResult::recordMetrics and the
 /// batch items: writes the "ok"/"sizes"/"stages"/"runs" subtree into

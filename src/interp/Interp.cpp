@@ -130,17 +130,10 @@ private:
     return true;
   }
 
-  std::optional<Addr> write(uint32_t R, Value V, bool AtBot = false) {
+  std::optional<Addr> write(uint32_t R, Value V) {
     Region &Reg = Store[R];
     if (Reg.St != RegState::Allocated)
       return fail("write to a region that is not allocated");
-    if (AtBot && !Reg.Vals.empty()) {
-      // Storage-mode reset: destroy the region's current contents.
-      S.CurValues -= Reg.Vals.size();
-      S.ResetValues += Reg.Vals.size();
-      ++S.Resets;
-      Reg.Vals.clear();
-    }
     Reg.Vals.push_back(std::move(V));
     ++S.Writes;
     ++S.TotalValueAllocs;
@@ -157,8 +150,9 @@ private:
       return nullptr;
     }
     if (A.Offset >= Reg.Vals.size()) {
-      // Only reachable when an unsound atbot reset destroyed the value.
-      fail("read of a value destroyed by a region reset");
+      // Writes only append and a region is never reallocated, so every
+      // address points below its region's length; this guards the index.
+      fail("read past the end of a region's values (interpreter bug)");
       return nullptr;
     }
     ++S.Reads;
@@ -235,16 +229,14 @@ private:
   std::optional<Addr> evalCore(const RExpr *N, const EnvNode *Env,
                                const RegEnvNode *REnv);
 
-  /// Resolves the write region of \p N through \p REnv and writes \p V,
-  /// honoring the node's storage mode when modes are enabled.
+  /// Resolves the write region of \p N through \p REnv and writes \p V.
   std::optional<Addr> writeAt(const RExpr *N, const RegEnvNode *REnv,
                               Value V) {
     assert(N->hasWriteRegion() && "node writes no value");
     uint32_t R;
     if (!lookupRegion(REnv, N->writeRegion(), R))
       return std::nullopt;
-    bool AtBot = Options.Modes && Options.Modes->isAtBot(N->id());
-    return write(R, std::move(V), AtBot);
+    return write(R, std::move(V));
   }
 
   std::string render(Addr A, unsigned Depth = 0);
@@ -621,7 +613,7 @@ RunResult interp::run(const RegionProgram &Prog, const Completion &C,
     // compilation recurses over the IR, which the parser already bounds.
     using Clock = std::chrono::steady_clock;
     Clock::time_point T0 = Clock::now();
-    vm::VmProgram P = vm::compile(Prog, C, Options.Modes);
+    vm::VmProgram P = vm::compile(Prog, C);
     Clock::time_point T1 = Clock::now();
     RunResult Out = vm::execute(P, Options);
     Clock::time_point T2 = Clock::now();

@@ -20,7 +20,6 @@
 #ifndef AFL_INTERP_INTERP_H
 #define AFL_INTERP_INTERP_H
 
-#include "completion/StorageModes.h"
 #include "regions/Completion.h"
 #include "regions/RegionProgram.h"
 
@@ -51,10 +50,6 @@ struct Stats {
   uint64_t Reads = 0;
   uint64_t Writes = 0;
   uint64_t Steps = 0;
-  /// Number of atbot writes that reset a region (storage modes [Tof94]).
-  uint64_t Resets = 0;
-  /// Total values destroyed by atbot resets.
-  uint64_t ResetValues = 0;
   /// Total memory operations (reads + writes + region allocs + frees);
   /// this is the "time" axis of the paper's figures.
   uint64_t Time = 0;
@@ -105,9 +100,6 @@ struct RunOptions {
   bool RecordTrace = false;
   /// Record per-region lifetimes (Figure 1c).
   bool RecordLifetimes = false;
-  /// Optional storage modes: writes listed atbot reset their region
-  /// first (destroying its current contents). Not owned; may be null.
-  const completion::StorageModes *Modes = nullptr;
   /// Evaluator selection (`aflc --interp=vm|tree`).
   BackendKind Backend = BackendKind::Vm;
 };

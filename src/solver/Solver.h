@@ -24,10 +24,14 @@
 /// union-find, propagated to the arc-consistent fixpoint, forced
 /// triples eliminated) straight into a per-call workspace and solved
 /// there over byte-lane domains, from its first choice on.
-/// The solution is then mapped back to the original variable space, so
-/// callers observe exactly the domains the raw §4.3 engine produces on
-/// the unsimplified system — the oracle (`--no-simplify`), which runs
-/// on the same core (docs/SOLVER.md).
+/// The solution is then mapped back to the original variable space. On
+/// every generated system measured (the differential suites and the
+/// docs/SOLVER.md sweeps), callers observe exactly the domains the raw
+/// §4.3 engine produces on the unsimplified system — the oracle
+/// (`--no-simplify`), which runs on the same core. Not on every system:
+/// when a boolean whose triple has both endpoints in one `Eq` class also
+/// guards another triple, the simplifier forces it early and can reach a
+/// different certified solution (docs/SOLVER.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,7 +49,8 @@ namespace afl {
 namespace solver {
 
 /// The one switch: the production path, or the raw oracle (`aflc
-/// --no-simplify`). Both produce bit-identical domains.
+/// --no-simplify`). Both produce bit-identical domains on every generated
+/// system measured; the file comment names the shape where they differ.
 struct SolveOptions {
   /// Simplify and solve shard group by shard group. When false, the
   /// raw §4.3 engine solves the unsimplified system as one.

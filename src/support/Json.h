@@ -10,7 +10,9 @@
 ///
 /// Numbers are kept in both integer and double form: protocol fields are
 /// small integers (document ids, byte offsets) read through asInt(), and
-/// any JSON number round-trips through asDouble().
+/// any JSON number round-trips through asDouble(). Integers share one
+/// range, int64: the reader rejects wider literals and the writer
+/// saturates wider unsigned values to INT64_MAX.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -146,8 +148,14 @@ public:
   Writer &endObject();
   Writer &key(std::string_view Name);
 
+  /// Writes \p V as a JSON integer. The reader takes integers as int64
+  /// (parseJson rejects anything wider), so an unsigned value above
+  /// INT64_MAX saturates to INT64_MAX: every integer written reads back.
   template <typename T> Writer &integer(T V) {
     static_assert(std::is_integral_v<T>, "integer() takes integers");
+    if constexpr (std::is_unsigned_v<T>)
+      if (static_cast<uint64_t>(V) > static_cast<uint64_t>(INT64_MAX))
+        return integer(INT64_MAX);
     char Buf[24];
     Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
     return *this;

@@ -2,8 +2,8 @@
 ///
 /// \file
 /// The region bytecode: a compact, flat encoding of a completed region
-/// program (regions::RegionProgram + regions::Completion [+ storage
-/// modes]) that vm::execute runs without host recursion.
+/// program (regions::RegionProgram + regions::Completion) that
+/// vm::execute runs without host recursion.
 ///
 /// Layout. One contiguous `uint32_t` code array holds every function's
 /// body back to back; `FuncInfo::Entry` indexes into it. Each instruction
@@ -21,8 +21,6 @@
 /// flat-closure conversion). A reference operand packs:
 ///
 ///   bit 31  RefCapture — capture index, else frame slot
-///   bit 30  RefAtBot   — write destinations only: the node's storage
-///                        mode is `atbot`, so the write resets the region
 ///   bit 29  RefPoison  — the binding could not be resolved at compile
 ///                        time (an analysis bug the tree walker reports
 ///                        lazily); the low bits index TrapMsgs and the
@@ -56,7 +54,6 @@ namespace vm {
 
 /// Reference-operand encoding (see file comment).
 constexpr uint32_t RefCapture = 0x80000000u;
-constexpr uint32_t RefAtBot = 0x40000000u;
 constexpr uint32_t RefPoison = 0x20000000u;
 constexpr uint32_t RefIndexMask = 0x1fffffffu;
 

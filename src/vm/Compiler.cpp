@@ -48,9 +48,8 @@ struct PendingFunc {
 
 class Compiler {
 public:
-  Compiler(const RegionProgram &Prog, const Completion &C,
-           const completion::StorageModes *Modes)
-      : Prog(Prog), C(C), Modes(Modes) {}
+  Compiler(const RegionProgram &Prog, const Completion &C)
+      : Prog(Prog), C(C) {}
 
   VmProgram compile();
 
@@ -130,14 +129,10 @@ private:
     return Ref;
   }
 
-  /// The destination reference for \p N's own write (@ρ annotation),
-  /// including the atbot storage-mode bit.
+  /// The destination reference for \p N's own write (@ρ annotation).
   uint32_t writeRef(FuncCtx &Ctx, const RExpr *N) {
     assert(N->hasWriteRegion() && "node writes no value");
-    uint32_t Ref = resolveReg(Ctx, N->writeRegion());
-    if (Modes && Modes->isAtBot(N->id()))
-      Ref |= RefAtBot;
-    return Ref;
+    return resolveReg(Ctx, N->writeRegion());
   }
 
   //===------------------------------------------------------------------===//
@@ -225,7 +220,6 @@ private:
 
   const RegionProgram &Prog;
   const Completion &C;
-  const completion::StorageModes *Modes;
   VmProgram P;
   std::vector<PendingFunc> Pending;
   std::unordered_map<int64_t, uint32_t> IntIdx;
@@ -438,7 +432,6 @@ VmProgram Compiler::compile() {
 
 } // namespace
 
-VmProgram vm::compile(const RegionProgram &Prog, const Completion &C,
-                      const completion::StorageModes *Modes) {
-  return Compiler(Prog, C, Modes).compile();
+VmProgram vm::compile(const RegionProgram &Prog, const Completion &C) {
+  return Compiler(Prog, C).compile();
 }

@@ -187,8 +187,8 @@ private:
   }
 
   /// Writes \p V through destination reference \p DstRef (resolving the
-  /// region, honoring the baked-in atbot bit) and pushes the new cell's
-  /// address — the written value is the node's result.
+  /// region) and pushes the new cell's address — the written value is the
+  /// node's result.
   bool writeCell(uint32_t DstRef, const Cell &V) {
     uint32_t R;
     if (!regionOf(DstRef, R))
@@ -196,13 +196,6 @@ private:
     RtRegion &Reg = Regions[R];
     if (Reg.St != RegState::Allocated)
       return fail("write to a region that is not allocated");
-    if ((DstRef & RefAtBot) && Reg.Len != 0) {
-      // Storage-mode reset: destroy the region's current contents.
-      S.CurValues -= Reg.Len;
-      S.ResetValues += Reg.Len;
-      ++S.Resets;
-      Reg.Len = 0;
-    }
     if (Reg.Len == Reg.Cap)
       growArena(Reg);
     Reg.Base[Reg.Len] = V;
@@ -223,8 +216,9 @@ private:
       return nullptr;
     }
     if (A.Offset >= Reg.Len) {
-      // Only reachable when an unsound atbot reset destroyed the value.
-      fail("read of a value destroyed by a region reset");
+      // Writes only append and a region is never reallocated, so every
+      // address points below its region's length; this guards the arena.
+      fail("read past the end of a region's values (interpreter bug)");
       return nullptr;
     }
     ++S.Reads;
@@ -362,8 +356,8 @@ std::string VM::render(Addr A, unsigned Depth) {
     return "<freed>";
   if (!Reg.Base || A.Offset >= Reg.Cap)
     return "?";
-  // Like the walker, cells destroyed by an atbot reset (Offset >= Len)
-  // still render from the retained arena storage.
+  // Every address points at a written cell (Offset < Len); the checks
+  // above only guard the arena index.
   const Cell &V = Reg.Base[A.Offset];
   switch (V.K) {
   case Cell::Kind::Int:

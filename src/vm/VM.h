@@ -9,9 +9,9 @@
 /// size-classed buffer pool.
 ///
 /// Instrumentation (the five Table 2 counters, Time, traces, lifetimes,
-/// storage-mode resets, ResultText and every RunResult::Error string) is
-/// bit-identical to the interp tree walker; tests/VmDifferentialTest.cpp
-/// enforces this over the corpus + 500 random programs.
+/// ResultText and every RunResult::Error string) is bit-identical to the
+/// interp tree walker; tests/VmDifferentialTest.cpp enforces this over
+/// the corpus + 500 random programs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,8 +25,7 @@ namespace afl {
 namespace vm {
 
 /// Executes \p P. Honors MaxSteps / MaxDepth / RecordTrace /
-/// RecordLifetimes from \p Options; storage modes are already baked into
-/// the bytecode, so Options.Modes is ignored here.
+/// RecordLifetimes from \p Options.
 interp::RunResult execute(const VmProgram &P,
                           const interp::RunOptions &Options);
 

@@ -63,6 +63,34 @@ TEST(Driver, StepLimitSurfacesAsFailure) {
   EXPECT_FALSE(R.ok());
 }
 
+TEST(Driver, RunsThatDisagreeWithTheReferenceAreAMismatch) {
+  interp::RunResult Cons, Afl;
+  interp::RefResult Ref;
+  Cons.Ok = Afl.Ok = Ref.Ok = true;
+  Cons.ResultText = Ref.ResultText = "[1, 2]";
+  Afl.ResultText = "[1]";
+
+  DiagnosticEngine Diags;
+  EXPECT_FALSE(driver::checkRunsAgree(Cons, Afl, Ref, Diags));
+  std::string Message = Diags.str();
+  EXPECT_NE(Message.find("result mismatch: conservative run gave [1, 2], "
+                         "A-F-L run gave [1], reference run gave [1, 2]"),
+            std::string::npos)
+      << Message;
+
+  // The conservative run is checked too, not only the A-F-L run.
+  Afl.ResultText = "[1, 2]";
+  Cons.ResultText = "<fn>";
+  DiagnosticEngine ConsDiags;
+  EXPECT_FALSE(driver::checkRunsAgree(Cons, Afl, Ref, ConsDiags));
+  EXPECT_TRUE(ConsDiags.hasErrors());
+
+  Cons.ResultText = "[1, 2]";
+  DiagnosticEngine Clean;
+  EXPECT_TRUE(driver::checkRunsAgree(Cons, Afl, Ref, Clean));
+  EXPECT_FALSE(Clean.hasErrors());
+}
+
 TEST(Driver, PrintersProduceOutput) {
   driver::PipelineResult R = driver::runPipeline("1 + 2");
   ASSERT_TRUE(R.ok());

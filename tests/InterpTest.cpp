@@ -7,7 +7,6 @@
 
 #include "ast/ASTContext.h"
 #include "completion/Conservative.h"
-#include "completion/StorageModes.h"
 #include "interp/Interp.h"
 #include "interp/RefInterp.h"
 #include "parser/Parser.h"
@@ -173,29 +172,6 @@ TEST_P(InterpTest, DepthLimit) {
   EXPECT_FALSE(R.Ok);
   EXPECT_NE(R.Error.find("recursion depth limit exceeded"), std::string::npos)
       << R.Error;
-}
-
-TEST_P(InterpTest, TrapsOnReadOfResetValue) {
-  // Sabotaged storage modes: marking the *outer* cons of a two-cell
-  // list atbot resets the shared list region after the inner cell was
-  // written, so reading the tail cell must trap. (inferStorageModes
-  // never produces this — the inner cell is pending — which is exactly
-  // why an unsound mode must be caught dynamically.)
-  Built B = build("hd (tl (1 :: 2 :: nil))");
-  const auto *Hd = cast<RUnOpExpr>(B.Prog->Root);
-  const auto *Tl = cast<RUnOpExpr>(Hd->operand());
-  const RExpr *OuterCons = Tl->operand();
-  completion::StorageModes Bad;
-  Bad.AtBot.insert(OuterCons->id());
-  interp::RunOptions Options;
-  Options.Modes = &Bad;
-  interp::RunResult R = run(*B.Prog, B.Cons, Options);
-  EXPECT_FALSE(R.Ok);
-  EXPECT_NE(R.Error.find("destroyed by a region reset"), std::string::npos)
-      << R.Error;
-  EXPECT_EQ(R.S.Resets, 1u);
-  // The reset destroys the inner cons cell and the boxed nil.
-  EXPECT_EQ(R.S.ResetValues, 2u);
 }
 
 TEST_P(InterpTest, RendersValues) {

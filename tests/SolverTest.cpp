@@ -146,10 +146,11 @@ TEST(Solver, SharedBooleanAcrossContexts) {
 }
 
 TEST(Solver, BacktracksOnBadBorderChoice) {
-  // Two independent alloc borders share one boolean through a diamond
-  // where choosing true first conflicts: U-chain with a forced-A middle.
-  //   S0(U) --B--> S1,  S1 = A required, and S0 also = A via equality
-  // Choosing B=true forces S0=U, conflicting with S0=A.
+  // Despite the name, propagation alone decides this system: the
+  // equality forces S0 = A, so the triple (S0, B, S1) cannot allocate
+  // and B is false before any border choice; both paths make 0 choices.
+  // Solver.SearchRevertsAConflictingChoice pins a system that does
+  // backtrack.
   ConstraintSystem Sys;
   StateVarId S0 = Sys.newState();
   StateVarId S1 = Sys.newState(StA);
@@ -160,6 +161,71 @@ TEST(Solver, BacktracksOnBadBorderChoice) {
   SolveResult R = solve(Sys);
   ASSERT_TRUE(R.Sat);
   EXPECT_FALSE(R.boolValue(B));
+}
+
+TEST(Solver, SearchRevertsAConflictingChoice) {
+  // One boolean B guards (S0, B, S2) and (S1, B, S0). S2 = A makes the
+  // first triple a border, so the engine tries B = true: S0 = U there,
+  // but the second triple then needs S0 = A. The choice is reverted and
+  // B pinned false, which equates all three states to A.
+  ConstraintSystem Sys;
+  StateVarId S0 = Sys.newState();
+  StateVarId S1 = Sys.newState();
+  StateVarId S2 = Sys.newState(StA);
+  BoolVarId B = Sys.newBool();
+  Sys.addAllocTriple(S0, B, S2);
+  Sys.addAllocTriple(S1, B, S0);
+  for (bool Simplify : {true, false}) {
+    SolveOptions Options;
+    Options.Simplify = Simplify;
+    SolveResult R = solve(Sys, Options);
+    ASSERT_TRUE(R.Sat) << "simplify=" << Simplify;
+    EXPECT_EQ(R.Choices, 1u) << "simplify=" << Simplify;
+    EXPECT_EQ(R.Backtracks, 1u) << "simplify=" << Simplify;
+    EXPECT_FALSE(R.boolValue(B)) << "simplify=" << Simplify;
+    for (StateVarId S : {S0, S1, S2})
+      EXPECT_EQ(R.StateDom[S], StA) << "simplify=" << Simplify;
+    EXPECT_EQ(checkSolution(Sys, R), "") << "simplify=" << Simplify;
+  }
+}
+
+TEST(Solver, SimplifierCanAllocateLaterThanTheOracle) {
+  // The two paths are not bit-identical on every system. S1 = S3 puts
+  // both endpoints of (S1, C1, S3) in one class, so the simplifier
+  // forces C1 false, and through the other triple on C1 that equates S0
+  // with S1. S1 is then U or A, which forces S2 = A and makes
+  // (S1, C0, S2) a border: production allocates there. The raw engine
+  // never sees that border; its default-false sweep ends all-A.
+  ConstraintSystem Sys;
+  StateVarId S0 = Sys.newState(StU | StA);
+  StateVarId S1 = Sys.newState();
+  StateVarId S2 = Sys.newState(StA | StD);
+  StateVarId S3 = Sys.newState();
+  BoolVarId C0 = Sys.newBool();
+  BoolVarId C1 = Sys.newBool();
+  Sys.addDeallocTriple(S0, C1, S1);
+  Sys.addAllocTriple(S1, C1, S3);
+  Sys.addEq(S1, S3);
+  Sys.addAllocTriple(S1, C0, S2);
+
+  SolveResult Production = solve(Sys);
+  ASSERT_TRUE(Production.Sat);
+  EXPECT_EQ(checkSolution(Sys, Production), "");
+  for (StateVarId S : {S0, S1, S3})
+    EXPECT_EQ(Production.StateDom[S], StU);
+  EXPECT_EQ(Production.StateDom[S2], StA);
+  EXPECT_TRUE(Production.boolValue(C0));
+  EXPECT_FALSE(Production.boolValue(C1));
+
+  SolveOptions Raw;
+  Raw.Simplify = false;
+  SolveResult Oracle = solve(Sys, Raw);
+  ASSERT_TRUE(Oracle.Sat);
+  EXPECT_EQ(checkSolution(Sys, Oracle), "");
+  for (StateVarId S : {S0, S1, S2, S3})
+    EXPECT_EQ(Oracle.StateDom[S], StA);
+  EXPECT_FALSE(Oracle.boolValue(C0));
+  EXPECT_FALSE(Oracle.boolValue(C1));
 }
 
 TEST(Solver, AllBooleansAssignedWhenSat) {

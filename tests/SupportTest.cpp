@@ -5,6 +5,7 @@
 #include "support/ArenaPool.h"
 #include "support/Diagnostics.h"
 #include "support/Json.h"
+#include "support/Metrics.h"
 #include "support/SourceLoc.h"
 #include "support/FlatSet.h"
 #include "support/SetInterner.h"
@@ -411,6 +412,34 @@ TEST(JsonNumbers, OutOfRangeIntegersAreParseErrors) {
     std::string E;
     EXPECT_FALSE(json::parseJson(Text, V, E)) << Text;
     EXPECT_NE(E.find("out of range"), std::string::npos) << Text << ": " << E;
+  }
+}
+
+TEST(JsonNumbers, WrittenIntegersReadBackAtTheBoundary) {
+  // The writer never emits an integer the reader rejects: unsigned values
+  // above INT64_MAX saturate, through json::Writer and through a
+  // MetricsRegistry counter alike.
+  std::string Out;
+  json::Writer W(Out);
+  W.beginObject();
+  W.key("u64max").integer(UINT64_MAX);
+  W.key("i64max").integer(INT64_MAX);
+  W.endObject();
+
+  MetricsRegistry Reg;
+  Reg.set("u64max", UINT64_MAX);
+  Reg.set("i64max", static_cast<uint64_t>(INT64_MAX));
+
+  for (const std::string &Text : {Out, Reg.json()}) {
+    json::Value V;
+    std::string E;
+    ASSERT_TRUE(json::parseJson(Text, V, E)) << Text << ": " << E;
+    for (const char *Key : {"u64max", "i64max"}) {
+      const json::Value *N = V.find(Key);
+      ASSERT_NE(N, nullptr) << Text;
+      ASSERT_TRUE(N->isInt()) << Text;
+      EXPECT_EQ(N->asInt(), INT64_MAX) << Key;
+    }
   }
 }
 

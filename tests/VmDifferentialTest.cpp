@@ -3,13 +3,11 @@
 // sweep, executing under the VM must be *bit-identical* to the Fig. 2
 // tree walker — same success flag, error string, rendered result, every
 // Table 2 counter, the full memory-over-time trace, and every region
-// lifetime — under both the conservative and the A-F-L completion, with
-// and without atbot storage modes.
+// lifetime — under both the conservative and the A-F-L completion.
 
 #include "ast/ASTContext.h"
 #include "completion/AflCompletion.h"
 #include "completion/Conservative.h"
-#include "completion/StorageModes.h"
 #include "interp/Interp.h"
 #include "parser/Parser.h"
 #include "programs/Corpus.h"
@@ -42,13 +40,10 @@ frontend(const std::string &Source, ast::ASTContext &Ctx, const char *Label) {
 /// Runs \p Prog under \p C on both backends and checks every observable
 /// field of the results matches bit for bit.
 void expectBackendsAgree(const regions::RegionProgram &Prog,
-                         const regions::Completion &C,
-                         const completion::StorageModes *Modes,
-                         const char *Label) {
+                         const regions::Completion &C, const char *Label) {
   interp::RunOptions Options;
   Options.RecordTrace = true;
   Options.RecordLifetimes = true;
-  Options.Modes = Modes;
 
   Options.Backend = interp::BackendKind::Tree;
   interp::RunResult T = interp::run(Prog, C, Options);
@@ -71,8 +66,6 @@ void expectBackendsAgree(const regions::RegionProgram &Prog,
   EXPECT_EQ(T.S.Reads, V.S.Reads) << Label;
   EXPECT_EQ(T.S.Writes, V.S.Writes) << Label;
   EXPECT_EQ(T.S.Steps, V.S.Steps) << Label;
-  EXPECT_EQ(T.S.Resets, V.S.Resets) << Label;
-  EXPECT_EQ(T.S.ResetValues, V.S.ResetValues) << Label;
   EXPECT_EQ(T.S.Time, V.S.Time) << Label;
 
   // The full memory-over-time trace (Figures 5-8).
@@ -102,7 +95,7 @@ void expectBackendsAgree(const regions::RegionProgram &Prog,
 }
 
 /// Full harness for one source program: conservative and A-F-L
-/// completions, each with and without inferred storage modes.
+/// completions.
 void expectVmMatchesTree(const std::string &Source, const char *Label) {
   ast::ASTContext Ctx;
   auto Prog = frontend(Source, Ctx, Label);
@@ -112,16 +105,9 @@ void expectVmMatchesTree(const std::string &Source, const char *Label) {
   completion::AflStats Stats;
   regions::Completion Afl = completion::aflCompletion(*Prog, &Stats);
   ASSERT_TRUE(Stats.Solved) << Label;
-  completion::StorageModes Modes = completion::inferStorageModes(*Prog);
 
-  expectBackendsAgree(*Prog, Cons, nullptr,
-                      (std::string(Label) + " [cons]").c_str());
-  expectBackendsAgree(*Prog, Afl, nullptr,
-                      (std::string(Label) + " [afl]").c_str());
-  expectBackendsAgree(*Prog, Cons, &Modes,
-                      (std::string(Label) + " [cons+atbot]").c_str());
-  expectBackendsAgree(*Prog, Afl, &Modes,
-                      (std::string(Label) + " [afl+atbot]").c_str());
+  expectBackendsAgree(*Prog, Cons, (std::string(Label) + " [cons]").c_str());
+  expectBackendsAgree(*Prog, Afl, (std::string(Label) + " [afl]").c_str());
 }
 
 TEST(VmDifferential, Table2Corpus) {
